@@ -51,6 +51,7 @@ from .synthesis import (
 )
 from .qp import (
     CondensedQp,
+    HorizonOperators,
     QpSolution,
     SolverOptions,
     TerminalBall,

@@ -10,12 +10,16 @@ cooperative cost nonincreasing and every iterate feasible.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, SolverFailure
-from .qp import SOLVED, build_condensed, solve_qp
+
+# build_condensed is not called here (the strategies condense through the
+# operators cached on Problem) but stays bound next to solve_qp, so tools
+# that wrap this module's QP entry points by name find both.
+from .qp import SOLVED, build_condensed, solve_qp  # noqa: F401
 
 
 @dataclass
@@ -93,11 +97,6 @@ class SolveInfo:
     millis: float
     iterations: int
     label: str = ""
-    warm_starts: dict = field(default_factory=dict, repr=False)
-
-
-def _agent_box(problem, i):
-    return -problem.u_max[i], problem.u_max[i]
 
 
 def _local_qp(problem, i, x_i0, fixed_traj=None):
@@ -107,35 +106,14 @@ def _local_qp(problem, i, x_i0, fixed_traj=None):
     objective equals the cooperative cost as a function of agent i's
     sequence, up to a constant.
     """
-    tc = problem.tcost
-    slices = problem.group_slices()
-    s_i = slices[i]
-    ni = problem.pmap.bar_dims[i]
+    agent = problem.agent_operators(i)
     x_linear = None
     if fixed_traj is not None:
-        x_linear = np.zeros((problem.N + 1, ni))
-        for j, s_j in enumerate(slices):
-            if j == i:
-                continue
-            Qij = tc.Qbar[s_i, s_j]
-            Pij = tc.Pbar[s_i, s_j]
-            for k in range(problem.N):
-                x_linear[k] += Qij @ fixed_traj[k, s_j]
-            x_linear[problem.N] += Pij @ fixed_traj[problem.N, s_j]
-    lo, hi = _agent_box(problem, i)
-    return build_condensed(
-        problem.tplant.Abar[i],
-        problem.tplant.Btilde[i],
-        tc.Qbar[s_i, s_i],
-        tc.Pbar[s_i, s_i],
-        tc.Rlocal[i],
-        problem.N,
-        x_i0,
-        lo,
-        hi,
-        terminal_balls=[(slice(0, ni), problem.ingredients.ball_radius[i])],
-        x_linear=x_linear,
-    )
+        N = problem.N
+        x_linear = np.empty((N + 1, agent.Qc.shape[0]))
+        x_linear[:N] = fixed_traj[:N] @ agent.Qc.T
+        x_linear[N] = agent.Pc @ fixed_traj[N]
+    return agent.ops.condense(x_i0, x_linear)
 
 
 def _solved(qp, warm, options, context):
@@ -157,25 +135,8 @@ def solve_centralized(problem, xbar0, warm=None):
     xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
     if xbar0.shape[0] != problem.n:
         raise DimensionMismatch("state must have length %d" % problem.n)
-    tc = problem.tcost
-    lo = np.concatenate([-b for b in problem.u_max])
-    hi = np.concatenate(list(problem.u_max))
-    balls = [
-        (s, problem.ingredients.ball_radius[i]) for i, s in enumerate(problem.group_slices())
-    ]
     t0 = time.perf_counter()
-    qp = build_condensed(
-        problem.A_big,
-        problem.B_big,
-        tc.Qbar,
-        tc.Pbar,
-        tc.Rglobal,
-        problem.N,
-        xbar0,
-        lo,
-        hi,
-        terminal_balls=balls,
-    )
+    qp = problem.centralized_operators().condense(xbar0)
     warm_vec = warm.stacked() if isinstance(warm, InputSequenceSet) else warm
     sol = _solved(qp, warm_vec, problem.solver, "centralized solve")
     millis = 1e3 * (time.perf_counter() - t0)

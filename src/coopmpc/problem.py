@@ -1,13 +1,34 @@
 """Assembled problem bundle shared by the controllers and the harness."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch
-from .linalg import block_slices
-from .qp import SolverOptions
+from .qp import HorizonOperators, SolverOptions
+
+
+@dataclass(frozen=True, eq=False)
+class AgentOperators:
+    """Agent i's cached horizon operators and its rows of the coupling weights.
+
+    `ops` condenses agent i's own problem: its group-diagonal weights, its
+    input box and its terminal ball.  Qc and Pc are the rows s_i of Qbar
+    and Pbar with the own block s_i zeroed, so Qc x is the coupling term
+    sum_{j != i} Qbar[s_i, s_j] x[s_j] of a full state x.  Read-only.
+    """
+
+    ops: HorizonOperators
+    Qc: np.ndarray
+    Pc: np.ndarray
+
+
+def _coupling_rows(W, s):
+    rows = W[s, :].copy()
+    rows[:, s] = 0.0
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(eq=False)
@@ -17,6 +38,11 @@ class Problem:
     u_max[i] is the symmetric per-channel input bound of agent i; the box
     is [-u_max, u_max].  All controller entry points take this bundle plus
     a regrouped initial state.
+
+    The horizon operators of the local and the centralized problems depend
+    only on these fields, so they are built on first use and kept; a copy
+    made with `dataclasses.replace` or `separable` starts without them.
+    The fields are not meant to change after construction.
     """
 
     blocks: object
@@ -29,6 +55,7 @@ class Problem:
     u_max: tuple
     N: int
     solver: SolverOptions
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.u_max = tuple(
@@ -53,8 +80,46 @@ class Problem:
     def group_slices(self):
         return self.pmap.group_slices()
 
-    def input_slices(self):
-        return block_slices(self.m)
+    def agent_operators(self, i):
+        """AgentOperators of agent i's local problem (built once)."""
+        key = ("agent", i)
+        if key not in self._operators:
+            tc = self.tcost
+            s = self.group_slices()[i]
+            ops = HorizonOperators(
+                self.tplant.Abar[i],
+                self.tplant.Btilde[i],
+                tc.Qbar[s, s],
+                tc.Pbar[s, s],
+                tc.Rlocal[i],
+                self.N,
+                -self.u_max[i],
+                self.u_max[i],
+                terminal_balls=[(slice(0, self.pmap.bar_dims[i]), self.ingredients.ball_radius[i])],
+            )
+            self._operators[key] = AgentOperators(
+                ops=ops, Qc=_coupling_rows(tc.Qbar, s), Pc=_coupling_rows(tc.Pbar, s)
+            )
+        return self._operators[key]
+
+    def centralized_operators(self):
+        """HorizonOperators of the joint problem with the product of balls (built once)."""
+        if "centralized" not in self._operators:
+            tc = self.tcost
+            self._operators["centralized"] = HorizonOperators(
+                self.A_big,
+                self.B_big,
+                tc.Qbar,
+                tc.Pbar,
+                tc.Rglobal,
+                self.N,
+                np.concatenate([-b for b in self.u_max]),
+                np.concatenate(list(self.u_max)),
+                terminal_balls=[
+                    (s, self.ingredients.ball_radius[i]) for i, s in enumerate(self.group_slices())
+                ],
+            )
+        return self._operators["centralized"]
 
     @property
     def A_big(self):

@@ -8,16 +8,29 @@ eliminated through the prediction operators, leaving
          || Tmap_b u + tvec_b ||_2 <= radius_b     for each terminal ball
 
 H is positive definite whenever the input weight is, so the problem is
-strictly convex.  The solver is a scaled ADMM with one splitting variable
-per constraint set (the box over the stacked input and one Euclidean ball
-per terminal set), a penalty initialized from the diagonal of H, residual
-balancing every 50 iterations, and over-relaxation.
+strictly convex.
+
+Only g, const and tvec depend on the initial state and on the optional
+linear stage terms; H, the prediction operators, the ball maps and the box
+do not (the parametric view of the horizon problem).  `HorizonOperators`
+builds that state-independent part once, and its `condense(x0, x_linear)`
+returns a CondensedQp in a few mat-vecs.  The operator arrays are
+read-only and shared by every CondensedQp condensed from them.
+`build_condensed` is the one-shot form.
+
+The solver is a scaled ADMM with one splitting variable per constraint set
+(the box over the stacked input and one Euclidean ball per terminal set),
+stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...] taken from the
+operators.  The penalty is initialized from the diagonal of H, residual
+balancing runs every 50 iterations, and the iterate is over-relaxed.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch
 
@@ -44,7 +57,9 @@ class CondensedQp:
     Phi and Gamma are the prediction operators over x(1..N):
     x_stack = Phi x0 + Gamma u_stack.  `objective` evaluates the full
     horizon cost including the constant term, so it matches the stage sum
-    of the problem it was built from.
+    of the problem it was built from.  H, Phi, Gamma, the box and every
+    Tmap belong to `ops`, the HorizonOperators the problem was condensed
+    from, and are read-only.
     """
 
     H: np.ndarray
@@ -58,10 +73,138 @@ class CondensedQp:
     n: int
     m: int
     N: int
+    ops: "HorizonOperators" = field(repr=False)
 
     def objective(self, u):
         u = np.asarray(u, dtype=float).reshape(-1)
         return float(0.5 * u @ self.H @ u + self.g @ u + self.const)
+
+
+def _frozen(a):
+    a = np.ascontiguousarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class HorizonOperators:
+    """The state-independent part of a condensed horizon problem.
+
+    Built once from (A, B, Q, P, R, N, u_lo, u_hi, terminal_balls), with
+    the meaning given in `build_condensed`.  Holds H, Phi, Gamma, the box,
+    the maps that give g and const from x0, and for each terminal ball its
+    Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.  M stacks the
+    identity over every Tmap; Mt is its transpose and MtM = M^T M.
+    `segments` lists the (start, stop) rows of each ball in M.  Every
+    array is read-only.
+    """
+
+    def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+        if B.ndim == 1:
+            B = B.reshape(-1, 1)
+        n, m = B.shape
+        if A.shape != (n, n):
+            raise DimensionMismatch("A must be %dx%d" % (n, n))
+        N = int(N)
+        if N < 1:
+            raise DimensionMismatch("horizon N must be >= 1")
+        Q = np.asarray(Q, dtype=float)
+        P = np.asarray(P, dtype=float)
+        R = np.atleast_2d(np.asarray(R, dtype=float))
+        if Q.shape != (n, n) or P.shape != (n, n) or R.shape != (m, m):
+            raise DimensionMismatch("weight shapes do not match the dynamics")
+        u_lo = np.broadcast_to(np.asarray(u_lo, dtype=float).reshape(-1), (m,))
+        u_hi = np.broadcast_to(np.asarray(u_hi, dtype=float).reshape(-1), (m,))
+        self.n, self.m, self.N = n, m, N
+
+        # Prediction operators over x(1..N).
+        powers = [np.eye(n)]
+        for _ in range(N):
+            powers.append(A @ powers[-1])
+        Phi = np.vstack([powers[k] for k in range(1, N + 1)])
+        Gamma = np.zeros((N * n, N * m))
+        for k in range(1, N + 1):
+            for j in range(k):
+                Gamma[(k - 1) * n : k * n, j * m : (j + 1) * m] = powers[k - 1 - j] @ B
+
+        Qbig = np.zeros((N * n, N * n))
+        for k in range(N - 1):
+            Qbig[k * n : (k + 1) * n, k * n : (k + 1) * n] = Q
+        Qbig[(N - 1) * n :, (N - 1) * n :] = P
+        Rbig = np.kron(np.eye(N), R)
+
+        QG = Qbig @ Gamma
+        H = 2.0 * (Gamma.T @ QG + Rbig)
+        self.H = _frozen(0.5 * (H + H.T))
+        self.Phi = _frozen(Phi)
+        self.Gamma = _frozen(Gamma)
+        self.box_lo = _frozen(np.tile(u_lo, N))
+        self.box_hi = _frozen(np.tile(u_hi, N))
+        # g = g_x x0 and const = x0^T c_x x0; linear stage terms c add
+        # 2 Gamma^T c to g and 2 (Phi^T c) . x0 to const.
+        self._g_x = _frozen(2.0 * (QG.T @ Phi))
+        c_x = Q + Phi.T @ Qbig @ Phi
+        self._c_x = _frozen(0.5 * (c_x + c_x.T))
+        self._two_Gamma_t = _frozen(2.0 * Gamma.T)
+        self._Phi_t = _frozen(Phi.T)
+
+        self.nu = nu = N * m
+        self.balls = []
+        rows = []
+        self.segments = []
+        start = nu
+        for idx, radius in terminal_balls or ():
+            idx = np.arange(n)[idx] if isinstance(idx, slice) else np.asarray(idx, dtype=int)
+            rows.append((N - 1) * n + idx)
+            self.balls.append((_frozen(Gamma[rows[-1], :]), float(radius)))
+            self.segments.append((start, start + len(idx)))
+            start += len(idx)
+        self._tvec_x = _frozen(Phi[np.concatenate(rows), :] if rows else np.zeros((0, n)))
+        Tmaps = [Tmap for Tmap, _ in self.balls]
+        MtM = np.eye(nu)
+        for Tmap in Tmaps:
+            MtM += Tmap.T @ Tmap
+        self.M = _frozen(np.vstack([np.eye(nu)] + Tmaps))
+        self.Mt = _frozen(self.M.T)
+        self.MtM = _frozen(MtM)
+
+    def condense(self, x0, x_linear=None):
+        """The CondensedQp at initial state x0, optionally with linear
+        stage terms x_linear of shape (N + 1, n) (see build_condensed)."""
+        n, N = self.n, self.N
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.shape[0] != n:
+            raise DimensionMismatch("x0 must have length %d" % n)
+        g = self._g_x @ x0
+        const = float(x0 @ self._c_x @ x0)
+        if x_linear is not None:
+            x_linear = np.asarray(x_linear, dtype=float)
+            if x_linear.shape != (N + 1, n):
+                raise DimensionMismatch("x_linear must have shape (N + 1, %d)" % n)
+            c_stack = x_linear[1:].reshape(-1)
+            g = g + self._two_Gamma_t @ c_stack
+            const += float(2.0 * (x_linear[0] + self._Phi_t @ c_stack) @ x0)
+        tvec = self._tvec_x @ x0
+        nu = self.nu
+        terminal = [
+            TerminalBall(Tmap=Tmap, tvec=tvec[a - nu : b - nu], radius=r)
+            for (Tmap, r), (a, b) in zip(self.balls, self.segments)
+        ]
+        return CondensedQp(
+            H=self.H,
+            g=g,
+            const=const,
+            Phi=self.Phi,
+            Gamma=self.Gamma,
+            box_lo=self.box_lo,
+            box_hi=self.box_hi,
+            terminal=terminal,
+            n=n,
+            m=self.m,
+            N=N,
+            ops=self,
+        )
 
 
 def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None, x_linear=None):
@@ -86,80 +229,10 @@ def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None, x_lin
         initial state and only shifts the constant.
 
     The stacked input is stage-major: u = [u(0); u(1); ...; u(N-1)].
+    Repeated solves of one problem should build HorizonOperators once and
+    call its `condense` instead.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n, m = B.shape
-    if A.shape != (n, n):
-        raise DimensionMismatch("A must be %dx%d" % (n, n))
-    N = int(N)
-    if N < 1:
-        raise DimensionMismatch("horizon N must be >= 1")
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if Q.shape != (n, n) or P.shape != (n, n) or R.shape != (m, m):
-        raise DimensionMismatch("weight shapes do not match the dynamics")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise DimensionMismatch("x0 must have length %d" % n)
-    u_lo = np.broadcast_to(np.asarray(u_lo, dtype=float).reshape(-1), (m,))
-    u_hi = np.broadcast_to(np.asarray(u_hi, dtype=float).reshape(-1), (m,))
-
-    # Prediction operators over x(1..N).
-    powers = [np.eye(n)]
-    for _ in range(N):
-        powers.append(A @ powers[-1])
-    Phi = np.vstack([powers[k] for k in range(1, N + 1)])
-    Gamma = np.zeros((N * n, N * m))
-    for k in range(1, N + 1):
-        for j in range(k):
-            Gamma[(k - 1) * n : k * n, j * m : (j + 1) * m] = powers[k - 1 - j] @ B
-
-    Qbig = np.zeros((N * n, N * n))
-    for k in range(N - 1):
-        Qbig[k * n : (k + 1) * n, k * n : (k + 1) * n] = Q
-    Qbig[(N - 1) * n :, (N - 1) * n :] = P
-    Rbig = np.kron(np.eye(N), R)
-
-    QG = Qbig @ Gamma
-    H = 2.0 * (Gamma.T @ QG + Rbig)
-    H = 0.5 * (H + H.T)
-    px = Phi @ x0
-    g = 2.0 * (QG.T @ px)
-    const = float(x0 @ Q @ x0 + px @ Qbig @ px)
-    if x_linear is not None:
-        x_linear = np.asarray(x_linear, dtype=float)
-        if x_linear.shape != (N + 1, n):
-            raise DimensionMismatch("x_linear must have shape (N + 1, %d)" % n)
-        c_stack = x_linear[1:].reshape(-1)
-        g = g + 2.0 * (Gamma.T @ c_stack)
-        const += float(2.0 * x_linear[0] @ x0 + 2.0 * c_stack @ px)
-
-    balls = []
-    if terminal_balls:
-        GN = Gamma[(N - 1) * n :, :]
-        pN = px[(N - 1) * n :]
-        for idx, radius in terminal_balls:
-            idx = np.arange(n)[idx] if isinstance(idx, slice) else np.asarray(idx, dtype=int)
-            balls.append(
-                TerminalBall(Tmap=GN[idx, :].copy(), tvec=pN[idx].copy(), radius=float(radius))
-            )
-    return CondensedQp(
-        H=H,
-        g=g,
-        const=const,
-        Phi=Phi,
-        Gamma=Gamma,
-        box_lo=np.tile(u_lo, N),
-        box_hi=np.tile(u_hi, N),
-        terminal=balls,
-        n=n,
-        m=m,
-        N=N,
-    )
+    return HorizonOperators(A, B, Q, P, R, N, u_lo, u_hi, terminal_balls).condense(x0, x_linear)
 
 
 @dataclass
@@ -199,6 +272,8 @@ def _ball_violation(qp, u):
 def solve_qp(qp, warm_start=None, options=None):
     """Solve a condensed QP by projection-based operator splitting.
 
+    `qp` comes from `HorizonOperators.condense` or `build_condensed`; the
+    stacked constraint matrix and its products are read from `qp.ops`.
     `warm_start` may be a previous QpSolution (full restart state) or a
     plain stacked input guess.  Termination requires the primal and dual
     residuals below their tolerances and, after clipping the iterate onto
@@ -206,46 +281,31 @@ def solve_qp(qp, warm_start=None, options=None):
     a stagnant primal residual is reported as infeasible (heuristic).
     """
     opts = options or SolverOptions()
+    ops = qp.ops
     H = qp.H
     g = qp.g
+    M, Mt, MtM = ops.M, ops.Mt, ops.MtM
     nu = H.shape[0]
-    balls = qp.terminal
-    sizes = [nu] + [b.Tmap.shape[0] for b in balls]
-    total = int(np.sum(sizes))
-    offs = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-
-    def apply_M(u):
-        out = np.empty(total)
-        out[: offs[1]] = u
-        for b, ball in enumerate(balls):
-            out[offs[b + 1] : offs[b + 2]] = ball.Tmap @ u
-        return out
-
-    def apply_Mt(v):
-        out = v[: offs[1]].copy()
-        for b, ball in enumerate(balls):
-            out += ball.Tmap.T @ v[offs[b + 1] : offs[b + 2]]
-        return out
-
-    cvec = np.zeros(total)
-    for b, ball in enumerate(balls):
-        cvec[offs[b + 1] : offs[b + 2]] = ball.tvec
+    box_lo, box_hi = qp.box_lo, qp.box_hi
+    balls = [(a, b, ball.radius) for (a, b), ball in zip(ops.segments, qp.terminal)]
+    cvec = np.zeros(M.shape[0])
+    for (a, b), ball in zip(ops.segments, qp.terminal):
+        cvec[a:b] = ball.tvec
+    Mtc = Mt @ cvec
+    # The box as bounds on all of v, unbounded on the ball rows.
+    lo = np.full(M.shape[0], -np.inf)
+    hi = np.full(M.shape[0], np.inf)
+    lo[:nu] = box_lo
+    hi[:nu] = box_hi
 
     def project(v):
-        out = np.empty_like(v)
-        np.clip(v[: offs[1]], qp.box_lo, qp.box_hi, out=out[: offs[1]])
-        for b, ball in enumerate(balls):
-            seg = v[offs[b + 1] : offs[b + 2]]
-            nrm = float(np.linalg.norm(seg))
-            if nrm > ball.radius:
-                out[offs[b + 1] : offs[b + 2]] = seg * (ball.radius / nrm)
-            else:
-                out[offs[b + 1] : offs[b + 2]] = seg
+        out = np.minimum(np.maximum(v, lo), hi)
+        for a, b, radius in balls:
+            seg = out[a:b]
+            nrm = sqrt(seg @ seg)
+            if nrm > radius:
+                seg *= radius / nrm
         return out
-
-    MtM = np.eye(nu)
-    for ball in balls:
-        MtM += ball.Tmap.T @ ball.Tmap
 
     if opts.rho is not None:
         rho = float(opts.rho)
@@ -263,40 +323,44 @@ def solve_qp(qp, warm_start=None, options=None):
             u = np.asarray(warm_start, dtype=float).reshape(-1).copy()
         else:
             u = np.zeros(nu)
-        w = project(apply_M(u) + cvec)
-        y = np.zeros(total)
+        w = project(M @ u + cvec)
+        y = np.zeros(M.shape[0])
 
-    factor = cho_factor(H + rho * MtM)
+    alpha = opts.over_relax
+    eps_abs, eps_rel = opts.eps_abs, opts.eps_rel
+    g_max = float(np.abs(g).max()) if g.size else 0.0
+    chol, lower = cho_factor(H + rho * MtM)
+    # M^T w and M^T y are carried across iterations: the right-hand side
+    # and both residual tests reuse them.
+    Mtw = Mt @ w
+    Mty = Mt @ y
     status = MAX_ITERS
     r_norm = d_norm = np.inf
     stall_r = np.inf
     iterations = opts.max_iters
     for it in range(1, opts.max_iters + 1):
-        rhs = -g + rho * apply_Mt(w - cvec - y)
-        u = cho_solve(factor, rhs)
-        v = apply_M(u) + cvec
-        v_rel = opts.over_relax * v + (1.0 - opts.over_relax) * w
-        w_prev = w
+        u = dpotrs(chol, rho * (Mtw - Mtc - Mty) - g, lower=lower)[0]
+        v = M @ u + cvec
+        v_rel = alpha * v + (1.0 - alpha) * w
         w = project(v_rel + y)
         y = y + v_rel - w
+        Mtw_prev = Mtw
+        Mtw = Mt @ w
+        Mty = Mt @ y
 
-        r = v - w
-        r_norm = float(np.max(np.abs(r)))
-        d_norm = float(np.max(np.abs(rho * apply_Mt(w_prev - w))))
-        eps_pri = opts.eps_abs + opts.eps_rel * max(
-            float(np.max(np.abs(v))), float(np.max(np.abs(w)))
-        )
-        eps_dua = opts.eps_abs + opts.eps_rel * max(
-            float(np.max(np.abs(H @ u))),
-            float(np.max(np.abs(g))) if g.size else 0.0,
-            float(np.max(np.abs(rho * apply_Mt(y)))),
-        )
-        if r_norm <= eps_pri and d_norm <= eps_dua:
-            clipped = np.clip(u, qp.box_lo, qp.box_hi)
-            if _ball_violation(qp, clipped) <= BALL_FEAS_TOL:
-                status = SOLVED
-                iterations = it
-                break
+        r_norm = float(np.abs(v - w).max())
+        d_norm = rho * float(np.abs(Mtw_prev - Mtw).max())
+        eps_pri = eps_abs + eps_rel * max(float(np.abs(v).max()), float(np.abs(w).max()))
+        if r_norm <= eps_pri:
+            eps_dua = eps_abs + eps_rel * max(
+                float(np.abs(H @ u).max()), g_max, rho * float(np.abs(Mty).max())
+            )
+            if d_norm <= eps_dua:
+                clipped = np.clip(u, box_lo, box_hi)
+                if _ball_violation(qp, clipped) <= BALL_FEAS_TOL:
+                    status = SOLVED
+                    iterations = it
+                    break
 
         if it % opts.balance_every == 0:
             # Residual balancing; the scaled dual is rescaled so the
@@ -309,7 +373,8 @@ def solve_qp(qp, warm_start=None, options=None):
             if scale is not None:
                 rho *= scale
                 y /= scale
-                factor = cho_factor(H + rho * MtM)
+                Mty = Mt @ y
+                chol, lower = cho_factor(H + rho * MtM)
             # Infeasibility heuristic: the dual grows without bound while
             # the primal residual stops improving.
             if it % (opts.balance_every * 4) == 0:
@@ -323,7 +388,7 @@ def solve_qp(qp, warm_start=None, options=None):
                     break
                 stall_r = r_norm
 
-    u_out = np.clip(u, qp.box_lo, qp.box_hi)
+    u_out = np.clip(u, box_lo, box_hi)
     return QpSolution(
         u_stack=u_out,
         objective=qp.objective(u_out),

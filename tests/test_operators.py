@@ -1,0 +1,199 @@
+"""Horizon operators cached on Problem: agreement with a fresh condensation."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag
+
+from coopmpc import TerminalBall, build_condensed, initial_state, solve_noiter_all
+from coopmpc.controllers import _local_qp
+
+from support import X0_EXP2
+
+RTOL = 1e-12
+
+
+def close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * np.max(np.abs(want), initial=0.0)
+
+
+def by_formula(qp, Q, P, x0, x_linear, balls):
+    """`qp` with g, const and every tvec recomputed from its Phi and Gamma.
+
+    The stage sum written out: x = Phi x0 + Gamma u, weighted by Q at the
+    stages 1..N-1 and by P at stage N.
+    """
+    n, N = qp.n, qp.N
+    Qbig = block_diag(*([Q] * (N - 1) + [P]))
+    px = qp.Phi @ x0
+    g = 2.0 * (qp.Gamma.T @ (Qbig @ px))
+    const = float(x0 @ Q @ x0 + px @ Qbig @ px)
+    if x_linear is not None:
+        c = x_linear[1:].reshape(-1)
+        g = g + 2.0 * (qp.Gamma.T @ c)
+        const += float(2.0 * x_linear[0] @ x0 + 2.0 * c @ px)
+    terminal = [
+        TerminalBall(Tmap=ball.Tmap, tvec=px[(N - 1) * n :][idx], radius=ball.radius)
+        for ball, (idx, _) in zip(qp.terminal, balls)
+    ]
+    return replace(qp, g=g, const=const, terminal=terminal)
+
+
+def fresh_local(problem, i, x_i0, fixed_traj=None):
+    """Agent i's QP condensed anew, coupling terms summed block by block."""
+    tc = problem.tcost
+    slices = problem.group_slices()
+    s_i = slices[i]
+    ni = problem.pmap.bar_dims[i]
+    x_linear = None
+    if fixed_traj is not None:
+        x_linear = np.zeros((problem.N + 1, ni))
+        for j, s_j in enumerate(slices):
+            if j != i:
+                for k in range(problem.N):
+                    x_linear[k] += tc.Qbar[s_i, s_j] @ fixed_traj[k, s_j]
+                x_linear[problem.N] += tc.Pbar[s_i, s_j] @ fixed_traj[problem.N, s_j]
+    Q, P = tc.Qbar[s_i, s_i], tc.Pbar[s_i, s_i]
+    balls = [(slice(0, ni), problem.ingredients.ball_radius[i])]
+    qp = build_condensed(
+        problem.tplant.Abar[i],
+        problem.tplant.Btilde[i],
+        Q,
+        P,
+        tc.Rlocal[i],
+        problem.N,
+        x_i0,
+        -problem.u_max[i],
+        problem.u_max[i],
+        terminal_balls=balls,
+        x_linear=x_linear,
+    )
+    return by_formula(qp, Q, P, x_i0, x_linear, balls)
+
+
+def fresh_centralized(problem, xbar0):
+    tc = problem.tcost
+    balls = [(s, problem.ingredients.ball_radius[i]) for i, s in enumerate(problem.group_slices())]
+    qp = build_condensed(
+        problem.A_big,
+        problem.B_big,
+        tc.Qbar,
+        tc.Pbar,
+        tc.Rglobal,
+        problem.N,
+        xbar0,
+        np.concatenate([-b for b in problem.u_max]),
+        np.concatenate(list(problem.u_max)),
+        terminal_balls=balls,
+    )
+    return by_formula(qp, tc.Qbar, tc.Pbar, xbar0, None, balls)
+
+
+def assert_same_qp(got, want):
+    """H bitwise; g, const, Tmap and tvec to RTOL relative."""
+    assert np.array_equal(got.H, want.H)
+    close(got.g, want.g)
+    assert abs(got.const - want.const) <= RTOL * abs(want.const)
+    assert np.array_equal(got.box_lo, want.box_lo) and np.array_equal(got.box_hi, want.box_hi)
+    assert len(got.terminal) == len(want.terminal)
+    for a, b in zip(got.terminal, want.terminal):
+        close(a.Tmap, b.Tmap)
+        close(a.tvec, b.tvec)
+        assert a.radius == b.radius
+
+
+@pytest.fixture(scope="module")
+def states(flagship, flagship_cfg):
+    return [
+        initial_state(flagship_cfg, flagship),
+        flagship.pmap.to_regrouped(np.asarray(X0_EXP2, dtype=float)),
+    ]
+
+
+class TestCachedCondensation:
+    def test_local_matches_fresh_build(self, flagship, states):
+        for xbar0 in states:
+            plan, _ = solve_noiter_all(flagship, xbar0)
+            fixed = flagship.simulate(xbar0, plan)
+            for i, s in enumerate(flagship.group_slices()):
+                assert_same_qp(_local_qp(flagship, i, xbar0[s]), fresh_local(flagship, i, xbar0[s]))
+                assert_same_qp(
+                    _local_qp(flagship, i, xbar0[s], fixed),
+                    fresh_local(flagship, i, xbar0[s], fixed),
+                )
+
+    def test_centralized_matches_fresh_build(self, flagship, states):
+        for xbar0 in states:
+            got = flagship.centralized_operators().condense(xbar0)
+            assert_same_qp(got, fresh_centralized(flagship, xbar0))
+
+    def test_operators_built_once(self, flagship):
+        assert flagship.agent_operators(1) is flagship.agent_operators(1)
+        assert flagship.centralized_operators() is flagship.centralized_operators()
+
+    def test_coupling_rows_skip_own_block(self, flagship):
+        for i, s in enumerate(flagship.group_slices()):
+            agent = flagship.agent_operators(i)
+            assert np.all(agent.Qc[:, s] == 0.0) and np.all(agent.Pc[:, s] == 0.0)
+            outside = np.ones(flagship.n, dtype=bool)
+            outside[s] = False
+            assert np.array_equal(agent.Qc[:, outside], flagship.tcost.Qbar[s][:, outside])
+
+
+class TestCacheIsolation:
+    def test_separable_builds_its_own(self, flagship, states):
+        flagship.agent_operators(0)
+        flagship.centralized_operators()
+        sep = flagship.separable()
+        for i in range(sep.M):
+            agent = sep.agent_operators(i)
+            assert agent is not flagship.agent_operators(i)
+            assert not np.any(agent.Qc) and not np.any(agent.Pc)
+        assert sep.centralized_operators() is not flagship.centralized_operators()
+        xbar0 = states[1]
+        assert_same_qp(sep.centralized_operators().condense(xbar0), fresh_centralized(sep, xbar0))
+
+    def test_replace_builds_its_own(self, flagship, states):
+        flagship.centralized_operators()
+        heavy = replace(
+            flagship,
+            tcost=replace(flagship.tcost, Pbar=2.0 * flagship.tcost.Pbar),
+        )
+        ops = heavy.centralized_operators()
+        assert ops is not flagship.centralized_operators()
+        assert not np.array_equal(ops.H, flagship.centralized_operators().H)
+        xbar0 = states[0]
+        assert_same_qp(ops.condense(xbar0), fresh_centralized(heavy, xbar0))
+        s = heavy.group_slices()[2]
+        assert_same_qp(_local_qp(heavy, 2, xbar0[s]), fresh_local(heavy, 2, xbar0[s]))
+
+
+class TestReadOnly:
+    def test_shared_arrays_reject_writes(self, flagship, states):
+        qp = flagship.centralized_operators().condense(states[0])
+        local = _local_qp(flagship, 0, states[0][flagship.group_slices()[0]])
+        for target in (qp, local):
+            with pytest.raises(ValueError):
+                target.H[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                target.box_lo[0] = 0.0
+            with pytest.raises(ValueError):
+                target.box_hi[:] = 1.0
+            with pytest.raises(ValueError):
+                target.terminal[0].Tmap[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                target.Gamma[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            flagship.agent_operators(0).Qc[0, -1] = 0.0
+
+    def test_per_solve_vectors_are_private(self, flagship, states):
+        ops = flagship.centralized_operators()
+        a = ops.condense(states[0])
+        b = ops.condense(states[0])
+        a.g[:] = 0.0
+        a.terminal[0].tvec[:] = 0.0
+        assert np.any(b.g) and np.any(b.terminal[0].tvec)
+        assert np.array_equal(ops.condense(states[0]).g, b.g)
