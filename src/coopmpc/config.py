@@ -172,6 +172,9 @@ def config_from_dict(doc):
         eps_rel=float(solver_doc.get("eps_rel", 1e-6)),
         max_iters=int(solver_doc.get("max_iters", 50000)),
     )
+    _expect(solver.max_iters >= 1, "solver.max_iters: must be an integer >= 1")
+    _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
+    _expect(solver.eps_rel >= 0, "solver.eps_rel: must be nonnegative")
 
     sim_doc = doc.get("sim", {})
     sim = SimConfig(

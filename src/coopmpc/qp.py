@@ -18,18 +18,29 @@ returns a CondensedQp in a few mat-vecs.  The operator arrays are
 read-only and shared by every CondensedQp condensed from them.
 `build_condensed` is the one-shot form.
 
-The solver is a scaled ADMM with one splitting variable per constraint set
-(the box over the stacked input and one Euclidean ball per terminal set),
-stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...] taken from the
-operators.  The penalty is initialized from the diagonal of H, residual
-balancing runs every 50 iterations, and the iterate is over-relaxed.
+The solver first tries the unconstrained minimizer u = -H^-1 g, from the
+Cholesky factor of H that the operators keep.  If u lies in the box and in
+every ball, with no tolerance (not even the 1e-8 ball slack ADMM allows),
+it is the optimum: the problem is strictly convex and u satisfies the KKT
+conditions with every multiplier zero.  That certificate is exact, so such
+a solve returns u with zero residuals and runs no splitting iteration.  In
+the explicit-MPC picture (Bemporad, Morari, Dua & Pistikopoulos,
+Automatica 2002) these are the states of the critical region whose active
+set is empty; near the origin of a regulated loop they are the common case.
+
+Otherwise the solver is a scaled ADMM with one splitting variable per
+constraint set (the box over the stacked input and one Euclidean ball per
+terminal set), stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...]
+taken from the operators.  The penalty is initialized from the diagonal of
+H, residual balancing runs every 50 iterations, and the iterate is
+over-relaxed.
 """
 
 from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg import LinAlgError, cho_factor, cholesky
 from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch
@@ -94,8 +105,9 @@ class HorizonOperators:
     the maps that give g and const from x0, and for each terminal ball its
     Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.  M stacks the
     identity over every Tmap; Mt is its transpose and MtM = M^T M.
-    `segments` lists the (start, stop) rows of each ball in M.  Every
-    array is read-only.
+    `segments` lists the (start, stop) rows of each ball in M.  H_chol is
+    the lower Cholesky factor of H (Fortran order, for dpotrs), or None
+    when H is only semidefinite.  Every array is read-only.
     """
 
     def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
@@ -137,6 +149,11 @@ class HorizonOperators:
         QG = Qbig @ Gamma
         H = 2.0 * (Gamma.T @ QG + Rbig)
         self.H = _frozen(0.5 * (H + H.T))
+        try:
+            self.H_chol = np.asfortranarray(cholesky(self.H, lower=True))
+            self.H_chol.setflags(write=False)
+        except LinAlgError:
+            self.H_chol = None
         self.Phi = _frozen(Phi)
         self.Gamma = _frozen(Gamma)
         self.box_lo = _frozen(np.tile(u_lo, N))
@@ -270,15 +287,26 @@ def _ball_violation(qp, u):
 
 
 def solve_qp(qp, warm_start=None, options=None):
-    """Solve a condensed QP by projection-based operator splitting.
+    """Solve a condensed QP: exact when no constraint binds, else by ADMM.
 
     `qp` comes from `HorizonOperators.condense` or `build_condensed`; the
-    stacked constraint matrix and its products are read from `qp.ops`.
-    `warm_start` may be a previous QpSolution (full restart state) or a
-    plain stacked input guess.  Termination requires the primal and dual
-    residuals below their tolerances and, after clipping the iterate onto
-    the box, every terminal ball satisfied to 1e-8.  A diverging dual with
-    a stagnant primal residual is reported as infeasible (heuristic).
+    stacked constraint matrix, its products and the factor of H are read
+    from `qp.ops`.  `warm_start` may be a previous QpSolution (full restart
+    state) or a plain stacked input guess.
+
+    Step zero solves H u = -g with the cached factor.  If u satisfies the
+    box and every ball exactly, it is returned as SOLVED with zero
+    residuals, w = M u + c, y = 0 and the penalty ADMM would have started
+    from, whatever the warm start.  Otherwise ADMM runs from the warm
+    start.  Its termination requires the primal and dual residuals below
+    their tolerances and, after clipping the iterate onto the box, every
+    terminal ball satisfied to 1e-8.  A diverging dual with a stagnant
+    primal residual is reported as infeasible (heuristic).
+
+    Iterations count solves with a factor: step zero is iteration 1 (also
+    when it is skipped because H is only semidefinite) and ADMM iteration
+    k is iteration k + 1, so a solve takes at most `options.max_iters` (at
+    least 1) of them and an exact solve reports 1.
     """
     opts = options or SolverOptions()
     ops = qp.ops
@@ -291,6 +319,35 @@ def solve_qp(qp, warm_start=None, options=None):
     cvec = np.zeros(M.shape[0])
     for (a, b), ball in zip(ops.segments, qp.terminal):
         cvec[a:b] = ball.tvec
+
+    restart = isinstance(warm_start, QpSolution) and warm_start.w is not None
+    if restart and warm_start.rho:
+        rho = float(warm_start.rho)
+    elif opts.rho is not None:
+        rho = float(opts.rho)
+    else:
+        rho = max(1e-3, 0.1 * float(np.mean(np.diag(H))))
+
+    if ops.H_chol is not None:
+        u = dpotrs(ops.H_chol, -g, lower=True)[0]
+        v = M @ u + cvec
+        if (
+            np.all(box_lo <= u)
+            and np.all(u <= box_hi)
+            and all(sqrt(v[a:b] @ v[a:b]) <= radius for a, b, radius in balls)
+        ):
+            return QpSolution(
+                u_stack=u,
+                objective=qp.objective(u),
+                iterations=1,
+                primal_res=0.0,
+                dual_res=0.0,
+                status=SOLVED,
+                w=v,
+                y=np.zeros(M.shape[0]),
+                rho=rho,
+            )
+
     Mtc = Mt @ cvec
     # The box as bounds on all of v, unbounded on the ball rows.
     lo = np.full(M.shape[0], -np.inf)
@@ -307,17 +364,10 @@ def solve_qp(qp, warm_start=None, options=None):
                 seg *= radius / nrm
         return out
 
-    if opts.rho is not None:
-        rho = float(opts.rho)
-    else:
-        rho = max(1e-3, 0.1 * float(np.mean(np.diag(H))))
-
-    if isinstance(warm_start, QpSolution) and warm_start.w is not None:
+    if restart:
         u = warm_start.u_stack.astype(float).copy()
         w = warm_start.w.copy()
         y = warm_start.y.copy()
-        if warm_start.rho:
-            rho = float(warm_start.rho)
     else:
         if warm_start is not None:
             u = np.asarray(warm_start, dtype=float).reshape(-1).copy()
@@ -338,7 +388,7 @@ def solve_qp(qp, warm_start=None, options=None):
     r_norm = d_norm = np.inf
     stall_r = np.inf
     iterations = opts.max_iters
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, opts.max_iters):
         u = dpotrs(chol, rho * (Mtw - Mtc - Mty) - g, lower=lower)[0]
         v = M @ u + cvec
         v_rel = alpha * v + (1.0 - alpha) * w
@@ -359,7 +409,7 @@ def solve_qp(qp, warm_start=None, options=None):
                 clipped = np.clip(u, box_lo, box_hi)
                 if _ball_violation(qp, clipped) <= BALL_FEAS_TOL:
                     status = SOLVED
-                    iterations = it
+                    iterations = it + 1
                     break
 
         if it % opts.balance_every == 0:
@@ -384,7 +434,7 @@ def solve_qp(qp, warm_start=None, options=None):
                     and r_norm > 0.95 * stall_r
                 ):
                     status = INFEASIBLE
-                    iterations = it
+                    iterations = it + 1
                     break
                 stall_r = r_norm
 

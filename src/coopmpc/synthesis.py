@@ -9,7 +9,8 @@ candidate weights until the certificate holds.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import LinAlgError, block_diag
+from scipy.linalg import solve_discrete_lyapunov as scipy_lyapunov
 
 from .errors import (
     DimensionMismatch,
@@ -38,11 +39,12 @@ ALPHA_MAX = 1e6
 
 
 def solve_discrete_lyapunov(F, W):
-    """Solve F^T P F + W = P for symmetric P by dense vectorization.
+    """Solve F^T P F + W = P for symmetric P.
 
-    F must be Schur stable.  The n^2 x n^2 system (I - kron(F^T, F^T))
-    vec(P) = vec(W) is solved directly; the residual is checked against
-    1e-8 * (1 + max-norm of P).
+    F must be Schur stable.  The equation is solved by
+    scipy.linalg.solve_discrete_lyapunov (a direct solve for n < 10, the
+    bilinear transformation to a continuous Lyapunov equation above); the
+    residual is checked against 1e-8 * (1 + max-norm of P).
     """
     F = require_square(F, "F")
     W = symmetrize(require_square(W, "W"))
@@ -50,13 +52,10 @@ def solve_discrete_lyapunov(F, W):
         raise DimensionMismatch("F and W must have the same shape")
     if spectral_radius(F) >= 1.0 - 1e-10:
         raise NotSchur("spectral radius %.6f is not below one" % spectral_radius(F))
-    n = F.shape[0]
-    lhs = np.eye(n * n) - np.kron(F.T, F.T)
     try:
-        vec = np.linalg.solve(lhs, W.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("vectorized Lyapunov system is singular") from exc
-    P = symmetrize(vec.reshape(n, n))
+        P = symmetrize(scipy_lyapunov(F.T, W))
+    except LinAlgError as exc:
+        raise SingularSystem("Lyapunov equation is singular") from exc
     resid = np.max(np.abs(F.T @ P @ F + W - P))
     bound = LYAP_RESIDUAL_TOL * (1.0 + np.max(np.abs(P)))
     if resid > bound:
@@ -215,10 +214,6 @@ class TerminalIngredients:
     @property
     def AK_global(self):
         return block_diag(*self.AK)
-
-    @property
-    def K_global(self):
-        return block_diag(*self.K)
 
     def certified(self):
         """True when the global decrease certificate holds.

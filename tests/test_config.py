@@ -81,6 +81,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match="horizon"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_iters", 0),
+            ("max_iters", -5),
+            ("eps_abs", 0.0),
+            ("eps_abs", -1e-8),
+            ("eps_abs", float("nan")),
+            ("eps_rel", -1e-6),
+        ],
+    )
+    def test_bad_solver_setting(self, key, value):
+        doc = minimal_single_agent()
+        doc["solver"] = {key: value}
+        with pytest.raises(ConfigError, match="solver.%s" % key):
+            config_from_dict(doc)
+
+    def test_solver_edge_settings_accepted(self):
+        doc = minimal_single_agent()
+        doc["solver"] = {"max_iters": 1, "eps_abs": 1e-12, "eps_rel": 0.0}
+        cfg = config_from_dict(doc)
+        assert (cfg.solver.max_iters, cfg.solver.eps_abs, cfg.solver.eps_rel) == (1, 1e-12, 0.0)
+
     def test_unknown_sim_strategy(self):
         doc = minimal_single_agent()
         doc["sim"] = {"strategy": "magic"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_qp
-from coopmpc.qp import INFEASIBLE, MAX_ITERS, SOLVED
+from coopmpc.qp import BALL_FEAS_TOL, INFEASIBLE, MAX_ITERS, SOLVED
 
 from oracles import horizon_cost, solve_box_qp_active_set
 
@@ -159,7 +159,82 @@ class TestSolve:
 
     def test_iteration_budget_status(self, rng_factory):
         rng = rng_factory(66)
-        qp, _ = random_condensed(rng, x0_scale=3.0)
+        qp, _ = random_condensed(rng, x0_scale=3.0, lo=-0.5, hi=0.5)
+        u_free = np.linalg.solve(qp.H, -qp.g)
+        assert np.any(u_free < qp.box_lo) or np.any(u_free > qp.box_hi)
         sol = solve_qp(qp, options=SolverOptions(max_iters=1))
         assert sol.status == MAX_ITERS
         assert sol.iterations == 1
+
+
+class TestExactPath:
+    """Step zero: the unconstrained minimizer, accepted only when feasible."""
+
+    def test_feasible_minimizer_is_exact_within_one_iteration(self, rng_factory):
+        qp, _ = random_condensed(rng_factory(66), x0_scale=3.0)
+        sol = solve_qp(qp, options=SolverOptions(max_iters=1))
+        assert sol.status == SOLVED
+        assert sol.iterations == 1
+        assert np.max(np.abs(sol.u_stack - np.linalg.solve(qp.H, -qp.g))) <= 1e-12
+        assert not np.any(sol.y)
+        assert sol.primal_res == 0.0 and sol.dual_res == 0.0
+        assert np.array_equal(sol.w, qp.ops.M @ sol.u_stack)
+
+    def test_factor_is_cached_and_read_only(self, rng_factory):
+        qp, _ = random_condensed(rng_factory(66))
+        L = qp.ops.H_chol
+        assert np.max(np.abs(L @ L.T - qp.H)) <= 1e-12 * np.max(np.abs(qp.H))
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+
+    def test_minimizer_just_outside_ball_runs_admm(self, rng_factory):
+        ball = [(slice(0, 2), 1.0)]
+        qp, _ = random_condensed(rng_factory(67), x0_scale=3.0, balls=ball)
+        u_free = np.linalg.solve(qp.H, -qp.g)
+        term = qp.terminal[0]
+        reach = float(np.linalg.norm(term.Tmap @ u_free + term.tvec))
+        assert np.all(u_free >= qp.box_lo) and np.all(u_free <= qp.box_hi)
+        radius = reach * (1.0 - 1e-9)
+        qp, _ = random_condensed(rng_factory(67), x0_scale=3.0, balls=[(slice(0, 2), radius)])
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED
+        assert sol.iterations > 1
+        term = qp.terminal[0]
+        assert np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec) <= radius + BALL_FEAS_TOL
+
+    def test_restart_from_exact_solution_on_constrained_state(self, rng_factory):
+        ball = [(slice(0, 2), 0.8)]
+        qp, (_, _, _, _, _, x0) = random_condensed(rng_factory(65), x0_scale=0.1, balls=ball)
+        exact = solve_qp(qp)
+        assert exact.iterations == 1
+        term = qp.terminal[0]
+        reach = term.Tmap @ exact.u_stack + term.tvec
+        assert np.max(np.abs(exact.w[qp.ops.segments[0][0] :] - reach)) <= 1e-12
+        tight = qp.ops.condense(15.0 * x0)
+        u_free = np.linalg.solve(tight.H, -tight.g)
+        term = tight.terminal[0]
+        assert np.linalg.norm(term.Tmap @ u_free + term.tvec) > term.radius
+        cold = solve_qp(tight)
+        warm = solve_qp(tight, warm_start=exact)
+        assert cold.status == SOLVED and warm.status == SOLVED
+        assert warm.iterations > 1
+        assert np.max(np.abs(warm.u_stack - cold.u_stack)) <= 1e-5
+        assert np.linalg.norm(term.Tmap @ warm.u_stack + term.tvec) <= term.radius + BALL_FEAS_TOL
+
+    def test_exact_check_counts_against_budget(self, rng_factory):
+        qp, _ = random_condensed(rng_factory(66), x0_scale=3.0, lo=-0.5, hi=0.5)
+        full = solve_qp(qp)
+        assert full.status == SOLVED and full.iterations > 2
+        budget = full.iterations
+        exact_budget = solve_qp(qp, options=SolverOptions(max_iters=budget))
+        assert (exact_budget.status, exact_budget.iterations) == (SOLVED, budget)
+        short = solve_qp(qp, options=SolverOptions(max_iters=budget - 1))
+        assert (short.status, short.iterations) == (MAX_ITERS, budget - 1)
+
+    def test_semidefinite_hessian_skips_step_zero(self):
+        # a dead input with no input weight: H = 0 has no Cholesky factor
+        qp = build_condensed(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2), [[0.0]], 2, [1.0, 0.0], [-1.0], [1.0])
+        assert qp.ops.H_chol is None
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED
+        assert sol.iterations > 1
