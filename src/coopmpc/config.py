@@ -266,7 +266,6 @@ def build_problem(cfg):
         A=cfg.subsystems.A,
         B=cfg.subsystems.B,
         m=m_list,
-        C=cfg.subsystems.C,
     )
     plant = build_composite(blocks)
     pmap = build_permutation(blocks.dims)
@@ -305,8 +304,6 @@ def build_problem(cfg):
         max_iters=cfg.solver.max_iters,
     )
     return Problem(
-        blocks=blocks,
-        plant=plant,
         pmap=pmap,
         tplant=tplant,
         cost=final_cost,

@@ -7,6 +7,12 @@ cooperative strategy iterates: each agent minimizes the full cooperative
 cost over its own sequence with the others frozen, and the new iterate is
 the convex combination of the agents' candidate points, which keeps the
 cooperative cost nonincreasing and every iterate feasible.
+
+In condensed form the cooperative cost is the centralized QP.  Agent i's
+subproblem keeps the quadratic term of its own problem and takes its
+linear term from agent i's rows of the centralized g and H applied to the
+current iterate (see `AgentOperators`), so no trajectory is simulated
+between iterations.
 """
 
 import time
@@ -27,15 +33,13 @@ class StrategyConfig:
     """Which solver runs at each sampling instant.
 
     kind is one of "centralized", "noiter", "coop".  For "coop", iters is
-    the fixed iteration budget, weights the averaging weights (default
-    1/M each), and warm_start selects the initial iterate when no
-    previous sequence is supplied ("noiter" or "zero").
+    the fixed iteration budget and weights the averaging weights (default
+    1/M each).
     """
 
     kind: str
     iters: int = 1
     weights: tuple = None
-    warm_start: str = "noiter"
 
     def __post_init__(self):
         if self.kind not in ("centralized", "noiter", "coop"):
@@ -99,23 +103,6 @@ class SolveInfo:
     label: str = ""
 
 
-def _local_qp(problem, i, x_i0, fixed_traj=None):
-    """Condensed problem of agent i; `fixed_traj` adds the coupling terms.
-
-    With fixed_traj (full-state trajectory of the previous iterate) the
-    objective equals the cooperative cost as a function of agent i's
-    sequence, up to a constant.
-    """
-    agent = problem.agent_operators(i)
-    x_linear = None
-    if fixed_traj is not None:
-        N = problem.N
-        x_linear = np.empty((N + 1, agent.Qc.shape[0]))
-        x_linear[:N] = fixed_traj[:N] @ agent.Qc.T
-        x_linear[N] = agent.Pc @ fixed_traj[N]
-    return agent.ops.condense(x_i0, x_linear)
-
-
 def _solved(qp, warm, options, context):
     sol = solve_qp(qp, warm_start=warm, options=options)
     if sol.status != SOLVED:
@@ -152,7 +139,7 @@ def solve_local_noiter(problem, i, x_i0, warm=None):
     """
     x_i0 = np.asarray(x_i0, dtype=float).reshape(-1)
     t0 = time.perf_counter()
-    qp = _local_qp(problem, i, x_i0)
+    qp = problem.agent_operators(i).ops.condense(x_i0)
     warm_vec = warm.reshape(-1, order="F") if isinstance(warm, np.ndarray) else warm
     sol = _solved(qp, warm_vec, problem.solver, "local solve of agent %d" % i)
     millis = 1e3 * (time.perf_counter() - t0)
@@ -184,9 +171,12 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
 
     Each iteration solves every agent's subproblem against the others'
     previous sequences and averages the candidate points with the
-    configured weights.  `previous` supplies the starting iterate (for
-    example the shifted sequences of the last sampling instant); when
-    absent it is produced per cfg.warm_start.  Time is accounted as the
+    configured weights.  Agent i's subproblem is its own condensed QP with
+    g replaced by Gx xbar0 + Hc u, u the stacked current iterate, so its
+    objective equals the cooperative cost as a function of agent i's
+    sequence, up to a constant.  `previous` supplies the starting iterate
+    (for example the shifted sequences of the last sampling instant); when
+    absent the no-iteration plan is used.  Time is accounted as the
     maximum over agents of their summed per-iteration solve times.
 
     Returns (InputSequenceSet, SolveInfo) or, with keep_history, the
@@ -198,29 +188,24 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     if len(weights) != M:
         raise DimensionMismatch("need one averaging weight per agent")
     slices = problem.group_slices()
-    base_iters = 0
-    base_millis = 0.0
+    per_agent = np.zeros(M)
+    iters = 0
     if previous is None:
-        if cfg.warm_start == "zero":
-            iterate = InputSequenceSet(
-                u=tuple(np.zeros((mi, problem.N)) for mi in problem.m)
-            )
-        else:
-            iterate, info0 = solve_noiter_all(problem, xbar0)
-            base_iters = info0.iterations
-            base_millis = info0.millis
+        iterate, info0 = solve_noiter_all(problem, xbar0)
+        per_agent[:] = info0.millis
+        iters = info0.iterations
     else:
         iterate = previous.copy()
-    per_agent = np.full(M, base_millis)
-    iters = base_iters
     history = []
     agent_warm = [iterate.u[i].T.reshape(-1).copy() for i in range(M)]
     for _ in range(cfg.iters):
-        fixed = problem.simulate(xbar0, iterate)
+        u = iterate.stacked()
         candidates = []
         for i in range(M):
             t0 = time.perf_counter()
-            qp = _local_qp(problem, i, xbar0[slices[i]], fixed_traj=fixed)
+            agent = problem.agent_operators(i)
+            qp = agent.ops.condense(xbar0[slices[i]])
+            qp.g = agent.Gx @ xbar0 + agent.Hc @ u
             sol = _solved(
                 qp, agent_warm[i], problem.solver, "cooperative solve of agent %d" % i
             )

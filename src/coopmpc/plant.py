@@ -64,15 +64,12 @@ class SubsystemBlocks:
         B[i][j] is the (n_ij, m_j) input matrix of agent j on block x_ij.
     m : sequence of int
         Input dimension of each agent.
-    C : nested list of arrays, optional
-        Output blocks; carried through but not used by the controllers.
     """
 
     dims: np.ndarray
     A: list
     B: list
     m: tuple
-    C: list = None
 
     def __post_init__(self):
         self.dims = _as_dims(self.dims)

@@ -11,24 +11,21 @@ from .qp import HorizonOperators, SolverOptions
 
 @dataclass(frozen=True, eq=False)
 class AgentOperators:
-    """Agent i's cached horizon operators and its rows of the coupling weights.
+    """Agent i's cached horizon operators and its rows of the centralized QP.
 
     `ops` condenses agent i's own problem: its group-diagonal weights, its
-    input box and its terminal ball.  Qc and Pc are the rows s_i of Qbar
-    and Pbar with the own block s_i zeroed, so Qc x is the coupling term
-    sum_{j != i} Qbar[s_i, s_j] x[s_j] of a full state x.  Read-only.
+    input box and its terminal ball.  Gx and Hc are the rows of the
+    centralized condensed problem that belong to agent i's inputs, the
+    stage-major positions k * sum(m) + off_i + (0..m_i - 1): Gx of the map
+    g = g_x xbar0, Hc of H with agent i's own columns zeroed.  For a
+    stacked input u of all agents, Gx xbar0 + Hc u is the linear term of the
+    centralized cost as a function of agent i's inputs with the others held
+    at u; its quadratic term is ops.H.  Read-only.
     """
 
     ops: HorizonOperators
-    Qc: np.ndarray
-    Pc: np.ndarray
-
-
-def _coupling_rows(W, s):
-    rows = W[s, :].copy()
-    rows[:, s] = 0.0
-    rows.setflags(write=False)
-    return rows
+    Gx: np.ndarray
+    Hc: np.ndarray
 
 
 @dataclass(eq=False)
@@ -45,8 +42,6 @@ class Problem:
     The fields are not meant to change after construction.
     """
 
-    blocks: object
-    plant: object
     pmap: object
     tplant: object
     cost: object
@@ -97,9 +92,15 @@ class Problem:
                 self.u_max[i],
                 terminal_balls=[(slice(0, self.pmap.bar_dims[i]), self.ingredients.ball_radius[i])],
             )
-            self._operators[key] = AgentOperators(
-                ops=ops, Qc=_coupling_rows(tc.Qbar, s), Pc=_coupling_rows(tc.Pbar, s)
-            )
+            cent = self.centralized_operators()
+            off, total = sum(self.m[:i]), sum(self.m)
+            rows = np.concatenate([k * total + off + np.arange(self.m[i]) for k in range(self.N)])
+            Hc = cent.H[rows, :]
+            Hc[:, rows] = 0.0
+            Hc.setflags(write=False)
+            Gx = cent.g_x[rows, :]
+            Gx.setflags(write=False)
+            self._operators[key] = AgentOperators(ops=ops, Gx=Gx, Hc=Hc)
         return self._operators[key]
 
     def centralized_operators(self):

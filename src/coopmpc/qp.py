@@ -10,13 +10,12 @@ eliminated through the prediction operators, leaving
 H is positive definite whenever the input weight is, so the problem is
 strictly convex.
 
-Only g, const and tvec depend on the initial state and on the optional
-linear stage terms; H, the prediction operators, the ball maps and the box
-do not (the parametric view of the horizon problem).  `HorizonOperators`
-builds that state-independent part once, and its `condense(x0, x_linear)`
-returns a CondensedQp in a few mat-vecs.  The operator arrays are
-read-only and shared by every CondensedQp condensed from them.
-`build_condensed` is the one-shot form.
+Only g, const and tvec depend on the initial state; H, the prediction
+operators, the ball maps and the box do not (the parametric view of the
+horizon problem).  `HorizonOperators` builds that state-independent part
+once, and its `condense(x0)` returns a CondensedQp in a few mat-vecs.
+The operator arrays are read-only and shared by every CondensedQp
+condensed from them.  `build_condensed` is the one-shot form.
 
 The solver first tries the unconstrained minimizer u = -H^-1 g, from the
 Cholesky factor of H that the operators keep.  If u lies in the box and in
@@ -32,8 +31,8 @@ Otherwise the solver is a scaled ADMM with one splitting variable per
 constraint set (the box over the stacked input and one Euclidean ball per
 terminal set), stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...]
 taken from the operators.  The penalty is initialized from the diagonal of
-H, residual balancing runs every 50 iterations, and the iterate is
-over-relaxed.
+H, residual balancing runs every BALANCE_EVERY iterations, and the
+iterate is over-relaxed by OVER_RELAX.
 """
 
 from dataclasses import dataclass, field
@@ -50,6 +49,12 @@ MAX_ITERS = "max_iters"
 INFEASIBLE = "infeasible"
 
 BALL_FEAS_TOL = 1e-8
+OVER_RELAX = 1.6
+# Every BALANCE_EVERY iterations the penalty is scaled by BALANCE_FACTOR
+# when one residual exceeds the other by more than BALANCE_RATIO.
+BALANCE_EVERY = 50
+BALANCE_RATIO = 10.0
+BALANCE_FACTOR = 2.0
 
 
 @dataclass(eq=False)
@@ -102,12 +107,13 @@ class HorizonOperators:
 
     Built once from (A, B, Q, P, R, N, u_lo, u_hi, terminal_balls), with
     the meaning given in `build_condensed`.  Holds H, Phi, Gamma, the box,
-    the maps that give g and const from x0, and for each terminal ball its
-    Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.  M stacks the
-    identity over every Tmap; Mt is its transpose and MtM = M^T M.
-    `segments` lists the (start, stop) rows of each ball in M.  H_chol is
-    the lower Cholesky factor of H (Fortran order, for dpotrs), or None
-    when H is only semidefinite.  Every array is read-only.
+    g_x with g = g_x x0, the map that gives const from x0, and for each
+    terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.
+    M stacks the identity over every Tmap; Mt is its transpose and
+    MtM = M^T M.  `segments` lists the (start, stop) rows of each ball in
+    M.  H_chol is the lower Cholesky factor of H (Fortran order, for
+    dpotrs), or None when H is only semidefinite.  Every array is
+    read-only.
     """
 
     def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
@@ -158,13 +164,10 @@ class HorizonOperators:
         self.Gamma = _frozen(Gamma)
         self.box_lo = _frozen(np.tile(u_lo, N))
         self.box_hi = _frozen(np.tile(u_hi, N))
-        # g = g_x x0 and const = x0^T c_x x0; linear stage terms c add
-        # 2 Gamma^T c to g and 2 (Phi^T c) . x0 to const.
-        self._g_x = _frozen(2.0 * (QG.T @ Phi))
+        # g = g_x x0 and const = x0^T c_x x0.
+        self.g_x = _frozen(2.0 * (QG.T @ Phi))
         c_x = Q + Phi.T @ Qbig @ Phi
         self._c_x = _frozen(0.5 * (c_x + c_x.T))
-        self._two_Gamma_t = _frozen(2.0 * Gamma.T)
-        self._Phi_t = _frozen(Phi.T)
 
         self.nu = nu = N * m
         self.balls = []
@@ -186,22 +189,14 @@ class HorizonOperators:
         self.Mt = _frozen(self.M.T)
         self.MtM = _frozen(MtM)
 
-    def condense(self, x0, x_linear=None):
-        """The CondensedQp at initial state x0, optionally with linear
-        stage terms x_linear of shape (N + 1, n) (see build_condensed)."""
-        n, N = self.n, self.N
+    def condense(self, x0):
+        """The CondensedQp at initial state x0."""
+        n = self.n
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.shape[0] != n:
             raise DimensionMismatch("x0 must have length %d" % n)
-        g = self._g_x @ x0
+        g = self.g_x @ x0
         const = float(x0 @ self._c_x @ x0)
-        if x_linear is not None:
-            x_linear = np.asarray(x_linear, dtype=float)
-            if x_linear.shape != (N + 1, n):
-                raise DimensionMismatch("x_linear must have shape (N + 1, %d)" % n)
-            c_stack = x_linear[1:].reshape(-1)
-            g = g + self._two_Gamma_t @ c_stack
-            const += float(2.0 * (x_linear[0] + self._Phi_t @ c_stack) @ x0)
         tvec = self._tvec_x @ x0
         nu = self.nu
         terminal = [
@@ -219,12 +214,12 @@ class HorizonOperators:
             terminal=terminal,
             n=n,
             m=self.m,
-            N=N,
+            N=self.N,
             ops=self,
         )
 
 
-def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None, x_linear=None):
+def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None):
     """Condense a finite-horizon problem into the stacked input vector.
 
     Parameters
@@ -241,15 +236,12 @@ def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None, x_lin
         Per-channel input bounds, repeated at every stage.
     terminal_balls : list of (indices, radius), optional
         Euclidean ball constraints on sub-vectors of x(N).
-    x_linear : array, shape (N + 1, n), optional
-        Extra linear stage terms 2 c_k^T x(k); row 0 applies to the fixed
-        initial state and only shifts the constant.
 
     The stacked input is stage-major: u = [u(0); u(1); ...; u(N-1)].
     Repeated solves of one problem should build HorizonOperators once and
     call its `condense` instead.
     """
-    return HorizonOperators(A, B, Q, P, R, N, u_lo, u_hi, terminal_balls).condense(x0, x_linear)
+    return HorizonOperators(A, B, Q, P, R, N, u_lo, u_hi, terminal_balls).condense(x0)
 
 
 @dataclass
@@ -257,11 +249,6 @@ class SolverOptions:
     eps_abs: float = 1e-8
     eps_rel: float = 1e-6
     max_iters: int = 50_000
-    rho: float = None
-    over_relax: float = 1.6
-    balance_every: int = 50
-    balance_ratio: float = 10.0
-    balance_factor: float = 2.0
 
 
 @dataclass(eq=False)
@@ -323,8 +310,6 @@ def solve_qp(qp, warm_start=None, options=None):
     restart = isinstance(warm_start, QpSolution) and warm_start.w is not None
     if restart and warm_start.rho:
         rho = float(warm_start.rho)
-    elif opts.rho is not None:
-        rho = float(opts.rho)
     else:
         rho = max(1e-3, 0.1 * float(np.mean(np.diag(H))))
 
@@ -376,7 +361,6 @@ def solve_qp(qp, warm_start=None, options=None):
         w = project(M @ u + cvec)
         y = np.zeros(M.shape[0])
 
-    alpha = opts.over_relax
     eps_abs, eps_rel = opts.eps_abs, opts.eps_rel
     g_max = float(np.abs(g).max()) if g.size else 0.0
     chol, lower = cho_factor(H + rho * MtM)
@@ -391,7 +375,7 @@ def solve_qp(qp, warm_start=None, options=None):
     for it in range(1, opts.max_iters):
         u = dpotrs(chol, rho * (Mtw - Mtc - Mty) - g, lower=lower)[0]
         v = M @ u + cvec
-        v_rel = alpha * v + (1.0 - alpha) * w
+        v_rel = OVER_RELAX * v + (1.0 - OVER_RELAX) * w
         w = project(v_rel + y)
         y = y + v_rel - w
         Mtw_prev = Mtw
@@ -412,14 +396,14 @@ def solve_qp(qp, warm_start=None, options=None):
                     iterations = it + 1
                     break
 
-        if it % opts.balance_every == 0:
+        if it % BALANCE_EVERY == 0:
             # Residual balancing; the scaled dual is rescaled so the
             # underlying multiplier rho * y stays fixed.
             scale = None
-            if r_norm > opts.balance_ratio * d_norm:
-                scale = opts.balance_factor
-            elif d_norm > opts.balance_ratio * r_norm:
-                scale = 1.0 / opts.balance_factor
+            if r_norm > BALANCE_RATIO * d_norm:
+                scale = BALANCE_FACTOR
+            elif d_norm > BALANCE_RATIO * r_norm:
+                scale = 1.0 / BALANCE_FACTOR
             if scale is not None:
                 rho *= scale
                 y /= scale
@@ -427,7 +411,7 @@ def solve_qp(qp, warm_start=None, options=None):
                 chol, lower = cho_factor(H + rho * MtM)
             # Infeasibility heuristic: the dual grows without bound while
             # the primal residual stops improving.
-            if it % (opts.balance_every * 4) == 0:
+            if it % (BALANCE_EVERY * 4) == 0:
                 if (
                     rho * float(np.max(np.abs(y))) > 1e9 * (1.0 + float(np.max(np.abs(cvec))))
                     and r_norm > 1e3 * opts.eps_abs

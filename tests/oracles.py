@@ -51,7 +51,7 @@ def solve_box_qp_active_set(H, g, lo, hi, tol=1e-9):
     raise AssertionError("active-set enumeration found no KKT point")
 
 
-def horizon_cost(A, B, Q, P, R, x0, u_seq, x_linear=None):
+def horizon_cost(A, B, Q, P, R, x0, u_seq):
     """Direct simulation evaluation of the finite-horizon cost.
 
     u_seq has shape (m, N).  Matches the condensed objective including its
@@ -71,12 +71,8 @@ def horizon_cost(A, B, Q, P, R, x0, u_seq, x_linear=None):
     for k in range(N):
         u = u_seq[:, k]
         total += float(x @ Q @ x + u @ R @ u)
-        if x_linear is not None:
-            total += float(2.0 * np.asarray(x_linear, dtype=float)[k] @ x)
         x = A @ x + B @ u
     total += float(x @ P @ x)
-    if x_linear is not None:
-        total += float(2.0 * np.asarray(x_linear, dtype=float)[N] @ x)
     return total
 
 

@@ -66,8 +66,6 @@ def assemble(blocks, cost, lqr_Q, lqr_R, radii, u_max, solver=None):
         tplant, cost, lqr_Q, lqr_R, radii, u_max
     )
     return Problem(
-        blocks=blocks,
-        plant=plant,
         pmap=pmap,
         tplant=tplant,
         cost=final_cost,

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import block_diag
 
 from coopmpc import TerminalBall, build_condensed, initial_state, solve_noiter_all
-from coopmpc.controllers import _local_qp
 
 from support import X0_EXP2
 
@@ -42,8 +41,19 @@ def by_formula(qp, Q, P, x0, x_linear, balls):
     return replace(qp, g=g, const=const, terminal=terminal)
 
 
+def local_qp(problem, i, x_i0):
+    return problem.agent_operators(i).ops.condense(x_i0)
+
+
+def agent_rows(problem, i):
+    """Stage-major positions of agent i's inputs in the centralized u."""
+    off, total = sum(problem.m[:i]), sum(problem.m)
+    return [k * total + off + j for k in range(problem.N) for j in range(problem.m[i])]
+
+
 def fresh_local(problem, i, x_i0, fixed_traj=None):
-    """Agent i's QP condensed anew, coupling terms summed block by block."""
+    """Agent i's QP condensed anew.  Given a full-state trajectory, the
+    coupling terms along it are added to g and const block by block."""
     tc = problem.tcost
     slices = problem.group_slices()
     s_i = slices[i]
@@ -69,7 +79,6 @@ def fresh_local(problem, i, x_i0, fixed_traj=None):
         -problem.u_max[i],
         problem.u_max[i],
         terminal_balls=balls,
-        x_linear=x_linear,
     )
     return by_formula(qp, Q, P, x_i0, x_linear, balls)
 
@@ -119,10 +128,13 @@ class TestCachedCondensation:
             plan, _ = solve_noiter_all(flagship, xbar0)
             fixed = flagship.simulate(xbar0, plan)
             for i, s in enumerate(flagship.group_slices()):
-                assert_same_qp(_local_qp(flagship, i, xbar0[s]), fresh_local(flagship, i, xbar0[s]))
-                assert_same_qp(
-                    _local_qp(flagship, i, xbar0[s], fixed),
-                    fresh_local(flagship, i, xbar0[s], fixed),
+                assert_same_qp(local_qp(flagship, i, xbar0[s]), fresh_local(flagship, i, xbar0[s]))
+                # The cooperative linear term from the centralized rows
+                # against the state-space stage sum along the simulated plan.
+                agent = flagship.agent_operators(i)
+                close(
+                    agent.Gx @ xbar0 + agent.Hc @ plan.stacked(),
+                    fresh_local(flagship, i, xbar0[s], fixed).g,
                 )
 
     def test_centralized_matches_fresh_build(self, flagship, states):
@@ -135,12 +147,16 @@ class TestCachedCondensation:
         assert flagship.centralized_operators() is flagship.centralized_operators()
 
     def test_coupling_rows_skip_own_block(self, flagship):
-        for i, s in enumerate(flagship.group_slices()):
+        H = flagship.centralized_operators().H
+        for i in range(flagship.M):
             agent = flagship.agent_operators(i)
-            assert np.all(agent.Qc[:, s] == 0.0) and np.all(agent.Pc[:, s] == 0.0)
-            outside = np.ones(flagship.n, dtype=bool)
-            outside[s] = False
-            assert np.array_equal(agent.Qc[:, outside], flagship.tcost.Qbar[s][:, outside])
+            rows = agent_rows(flagship, i)
+            own = np.zeros(H.shape[1], dtype=bool)
+            own[rows] = True
+            assert np.all(agent.Hc[:, own] == 0.0)
+            assert np.array_equal(agent.Hc[:, ~own], H[rows][:, ~own])
+            # The own block that Hc leaves out is agent i's local H.
+            close(H[np.ix_(rows, rows)], agent.ops.H)
 
 
 class TestCacheIsolation:
@@ -151,7 +167,7 @@ class TestCacheIsolation:
         for i in range(sep.M):
             agent = sep.agent_operators(i)
             assert agent is not flagship.agent_operators(i)
-            assert not np.any(agent.Qc) and not np.any(agent.Pc)
+            assert not np.any(agent.Hc)
         assert sep.centralized_operators() is not flagship.centralized_operators()
         xbar0 = states[1]
         assert_same_qp(sep.centralized_operators().condense(xbar0), fresh_centralized(sep, xbar0))
@@ -168,13 +184,13 @@ class TestCacheIsolation:
         xbar0 = states[0]
         assert_same_qp(ops.condense(xbar0), fresh_centralized(heavy, xbar0))
         s = heavy.group_slices()[2]
-        assert_same_qp(_local_qp(heavy, 2, xbar0[s]), fresh_local(heavy, 2, xbar0[s]))
+        assert_same_qp(local_qp(heavy, 2, xbar0[s]), fresh_local(heavy, 2, xbar0[s]))
 
 
 class TestReadOnly:
     def test_shared_arrays_reject_writes(self, flagship, states):
         qp = flagship.centralized_operators().condense(states[0])
-        local = _local_qp(flagship, 0, states[0][flagship.group_slices()[0]])
+        local = local_qp(flagship, 0, states[0][flagship.group_slices()[0]])
         for target in (qp, local):
             with pytest.raises(ValueError):
                 target.H[0, 0] = 0.0
@@ -186,8 +202,11 @@ class TestReadOnly:
                 target.terminal[0].Tmap[0, 0] = 0.0
             with pytest.raises(ValueError):
                 target.Gamma[0, 0] = 0.0
+        agent = flagship.agent_operators(0)
         with pytest.raises(ValueError):
-            flagship.agent_operators(0).Qc[0, -1] = 0.0
+            agent.Hc[0, -1] = 0.0
+        with pytest.raises(ValueError):
+            agent.Gx[0, 0] = 0.0
 
     def test_per_solve_vectors_are_private(self, flagship, states):
         ops = flagship.centralized_operators()

@@ -39,15 +39,6 @@ class TestBuild:
             got = qp.objective(u.T.reshape(-1))
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
-    def test_objective_with_linear_terms(self, rng_factory):
-        rng = rng_factory(52)
-        qp0, (A, B, Q, P, R, x0) = random_condensed(rng)
-        c = rng.normal(size=(4, 2))
-        qp = build_condensed(A, B, Q, P, R, 3, x0, [-4.0], [4.0], x_linear=c)
-        u = rng.uniform(-4.0, 4.0, size=(1, 3))
-        want = horizon_cost(A, B, Q, P, R, x0, u, x_linear=c)
-        assert abs(qp.objective(u.T.reshape(-1)) - want) <= 1e-9 * (1.0 + abs(want))
-
     def test_prediction_operators(self, rng_factory):
         rng = rng_factory(53)
         qp, (A, B, _, _, _, x0) = random_condensed(rng)

@@ -96,9 +96,10 @@ class TestLqr:
         for AK in flagship.ingredients.AK:
             assert np.max(np.abs(np.linalg.eigvals(AK))) < 1.0 - 1e-8
 
-    def test_iteration_cap(self):
+    def test_no_stabilizing_solution(self):
+        # An unstable mode with no input: no stabilizing Riccati solution.
         with pytest.raises(RiccatiDiverged):
-            lqr_gain([[1.0]], [[1.0]], [[1.0]], [[1.0]], max_iters=2)
+            lqr_gain([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
 
 class TestBallCertificate:
