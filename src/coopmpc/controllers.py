@@ -106,8 +106,9 @@ class SolveInfo:
 def _solved(qp, warm, options, context):
     sol = solve_qp(qp, warm_start=warm, options=options)
     if sol.status != SOLVED:
+        margin = "n/a" if sol.margin is None else "%.4g" % sol.margin
         raise SolverFailure(
-            "%s finished with status %s" % (context, sol.status),
+            "%s finished with status %s (terminal-ball margin %s)" % (context, sol.status, margin),
             status=sol.status,
             solution=sol,
         )

@@ -30,7 +30,7 @@ class SingularSystem(CoopMpcError):
 
 
 class RiccatiDiverged(CoopMpcError):
-    """The Riccati fixed-point iteration did not converge."""
+    """The discrete algebraic Riccati equation has no stabilizing solution."""
 
 
 class NotStabilized(CoopMpcError):

@@ -285,6 +285,7 @@ class MonteCarloReport:
     loss_worst: float
     excluded: int
     per_draw_losses: list
+    excluded_draws: list
 
     def to_dict(self):
         return {
@@ -296,6 +297,7 @@ class MonteCarloReport:
             "loss_worst": self.loss_worst,
             "excluded": self.excluded,
             "per_draw_losses": self.per_draw_losses,
+            "excluded_draws": self.excluded_draws,
         }
 
 
@@ -306,21 +308,24 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
     original ordering with a PCG64 generator (all draws up front, so the
     sample is a pure function of the seed) and mapped through the
     permutation.  Draws where either solve fails are excluded and
-    reported as null losses at their seed-stable index.
+    reported as null losses at their seed-stable index; `excluded_draws`
+    records each one's index, the failed solve's status and its least
+    terminal-ball margin (None when the solve stopped before the
+    certificate ran).
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     X0 = lo + (hi - lo) * rng.random((int(draws), problem.n))
     losses = []
-    excluded = 0
+    excluded_draws = []
     for d in range(int(draws)):
         xbar = problem.pmap.to_regrouped(X0[d])
         try:
             seqs, _ = solve_strategy(problem, xbar, strategy)
             cen, _ = solve_centralized(problem, xbar)
-        except SolverFailure:
+        except SolverFailure as exc:
             losses.append(None)
-            excluded += 1
+            excluded_draws.append({"index": d, "status": exc.status, "margin": exc.solution.margin})
             continue
         gc_s, _ = evaluate_cost(problem, xbar, seqs)
         gc_c, _ = evaluate_cost(problem, xbar, cen)
@@ -333,8 +338,9 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
         bounds=(lo, hi),
         loss_mean=float(np.mean(kept)) if kept else float("nan"),
         loss_worst=float(np.max(kept)) if kept else float("nan"),
-        excluded=excluded,
+        excluded=len(excluded_draws),
         per_draw_losses=losses,
+        excluded_draws=excluded_draws,
     )
 
 

@@ -160,6 +160,7 @@ class TestMonteCarlo:
         assert len(doc["per_draw_losses"]) == 5
         kept = [v for v in doc["per_draw_losses"] if v is not None]
         assert doc["excluded"] == 5 - len(kept)
+        assert len(doc["excluded_draws"]) == doc["excluded"]
 
 
 class TestFailureModes:

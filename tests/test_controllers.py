@@ -8,6 +8,7 @@ import pytest
 from coopmpc import (
     DimensionMismatch,
     InputSequenceSet,
+    SolverFailure,
     SolverOptions,
     StrategyConfig,
     evaluate_cost,
@@ -18,6 +19,8 @@ from coopmpc import (
     solve_noiter_all,
     solve_strategy,
 )
+
+from coopmpc.qp import CERTIFY_AT, INFEASIBLE
 
 from support import X0_EXP2, random_certified_problem
 
@@ -102,6 +105,22 @@ class TestNoIteration:
         u3, info = solve_local_noiter(flagship, 2, xbar[flagship.group_slices()[2]])
         assert np.max(np.abs(u3)) <= 4.0
         assert info.label == "noiter"
+
+    def test_failure_names_status_and_margin(self, flagship):
+        xbar = flagship.pmap.to_regrouped(2.0 * np.asarray(X0_EXP2, dtype=float))
+        x_0 = xbar[flagship.group_slices()[0]]
+        with pytest.raises(SolverFailure) as info:
+            solve_local_noiter(flagship, 0, x_0)
+        sol = info.value.solution
+        assert (info.value.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert sol.margin < 0.0
+        assert str(info.value) == (
+            "local solve of agent 0 finished with status infeasible "
+            "(terminal-ball margin %.4g)" % sol.margin
+        )
+        starved = replace(flagship, solver=SolverOptions(max_iters=2))
+        with pytest.raises(SolverFailure, match="status max_iters .terminal-ball margin n/a.$"):
+            solve_local_noiter(starved, 0, x_0)
 
     def test_independent_of_other_agents(self, flagship, rng_factory):
         rng = rng_factory(73)

@@ -25,6 +25,8 @@ from coopmpc import (
     trace_to_csv,
 )
 
+from coopmpc.qp import CERTIFY_AT, INFEASIBLE, MAX_ITERS
+
 from support import X0_EXP1, assemble, random_certified_problem
 
 FLAGSHIP_HEADER = (
@@ -235,6 +237,22 @@ class TestMonteCarlo:
         assert rep.excluded == 0
         assert rep.per_draw_losses[0] == pytest.approx(rep.per_draw_losses[1], abs=1e-12)
         assert rep.loss_worst == pytest.approx(rep.loss_mean, abs=1e-12)
+
+    def test_excluded_draws_carry_verdicts(self, flagship):
+        # A budget just past the certificate keeps the cap-hitting draws short.
+        prob = replace(flagship, solver=SolverOptions(max_iters=CERTIFY_AT + 1))
+        cfg = StrategyConfig(kind="noiter")
+        a = monte_carlo(prob, draws=40, bounds=(-8.0, 8.0), strategy=cfg, seed=20)
+        b = monte_carlo(prob, draws=40, bounds=(-8.0, 8.0), strategy=cfg, seed=20)
+        assert a.to_dict() == b.to_dict()
+        nulls = [d for d, v in enumerate(a.per_draw_losses) if v is None]
+        assert [rec["index"] for rec in a.excluded_draws] == nulls
+        assert {rec["status"] for rec in a.excluded_draws} == {INFEASIBLE, MAX_ITERS}
+        for rec in a.excluded_draws:
+            if rec["status"] == INFEASIBLE:
+                assert rec["margin"] < 0.0
+            else:
+                assert rec["margin"] >= 0.0
 
     def test_seed_changes_sample(self, rng_factory):
         rng = rng_factory(86)

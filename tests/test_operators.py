@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from coopmpc import TerminalBall, build_condensed, initial_state, solve_noiter_all
+from coopmpc import TerminalBall, build_condensed, initial_state, solve_noiter_all, solve_qp
+from coopmpc.qp import INFEASIBLE, ball_margins
 
 from support import X0_EXP2
 
@@ -216,3 +217,27 @@ class TestReadOnly:
         a.terminal[0].tvec[:] = 0.0
         assert np.any(b.g) and np.any(b.terminal[0].tvec)
         assert np.array_equal(ops.condense(states[0]).g, b.g)
+
+
+class TestFeasibilityStructure:
+    def test_centralized_margins_are_the_agents_margins(self, flagship, rng_factory):
+        """The centralized QP is feasible exactly when every local one is:
+        the regrouped dynamics are decoupled and the terminal set is a
+        product of balls, so each centralized ball has its agent's margin."""
+        cen = flagship.centralized_operators()
+        slices = flagship.group_slices()
+        X0 = rng_factory(97).uniform(-8.0, 8.0, size=(150, flagship.n))
+        unreachable = 0
+        for x in X0:
+            xbar = flagship.pmap.to_regrouped(x)
+            central = [margin for margin, _ in ball_margins(cen.condense(xbar))]
+            local = [
+                ball_margins(flagship.agent_operators(i).ops.condense(xbar[s]))[0][0]
+                for i, s in enumerate(slices)
+            ]
+            assert np.max(np.abs(np.subtract(central, local))) <= 1e-12
+            if min(local) < 0.0:
+                unreachable += 1
+                sol = solve_qp(cen.condense(xbar))
+                assert (sol.status, sol.margin) == (INFEASIBLE, min(central))
+        assert unreachable > 0

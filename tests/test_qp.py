@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_qp
-from coopmpc.qp import BALL_FEAS_TOL, INFEASIBLE, MAX_ITERS, SOLVED
+from coopmpc.qp import BALL_FEAS_TOL, CERTIFY_AT, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
 
 from oracles import horizon_cost, solve_box_qp_active_set
 
@@ -20,6 +20,22 @@ def random_condensed(rng, n=2, m=1, N=3, x0_scale=1.0, lo=-4.0, hi=4.0, balls=No
     x0 = x0_scale * rng.normal(size=n)
     qp = build_condensed(A, B, Q, P, R, N, x0, lo, hi, terminal_balls=balls)
     return qp, (A, B, Q, P, R, x0)
+
+
+def dead_input_qp():
+    """An integrator whose input is dead: it can never reenter the ball."""
+    return build_condensed(
+        np.eye(2),
+        np.zeros((2, 1)),
+        np.eye(2),
+        np.eye(2),
+        np.eye(1),
+        3,
+        [5.0, 5.0],
+        [-1.0],
+        [1.0],
+        terminal_balls=[(slice(0, 2), 0.5)],
+    )
 
 
 class TestBuild:
@@ -132,20 +148,7 @@ class TestSolve:
         assert np.all(sol.u_stack >= qp.box_lo) and np.all(sol.u_stack <= qp.box_hi)
 
     def test_unreachable_ball_reported(self):
-        # integrator with a dead input can never reenter the ball
-        qp = build_condensed(
-            np.eye(2),
-            np.zeros((2, 1)),
-            np.eye(2),
-            np.eye(2),
-            np.eye(1),
-            3,
-            [5.0, 5.0],
-            [-1.0],
-            [1.0],
-            terminal_balls=[(slice(0, 2), 0.5)],
-        )
-        sol = solve_qp(qp, options=SolverOptions(max_iters=20000))
+        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=20000))
         assert sol.status == INFEASIBLE
 
     def test_iteration_budget_status(self, rng_factory):
@@ -229,3 +232,67 @@ class TestExactPath:
         sol = solve_qp(qp)
         assert sol.status == SOLVED
         assert sol.iterations > 1
+
+
+def seed65_qp(rng_factory, radius):
+    """Seed 65 on a +-1 box, whose least reachable terminal norm is about 2.14."""
+    qp, _ = random_condensed(
+        rng_factory(65), n=2, m=1, N=4, x0_scale=3.0, lo=-1.0, hi=1.0, balls=[(slice(0, 2), radius)]
+    )
+    return qp
+
+
+class TestInfeasibilityCertificate:
+    """The BVLS checkpoint after CERTIFY_AT unconverged ADMM iterations."""
+
+    def test_dead_input_certified_at_checkpoint(self):
+        sol = solve_qp(dead_input_qp())
+        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        # ||(5, 5)|| can only be reached, so the margin is 0.5 - 5 sqrt(2)
+        assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
+
+    def test_bound_is_sound(self, rng_factory):
+        qp = seed65_qp(rng_factory, 1.0)
+        ((margin, bound),) = ball_margins(qp)
+        assert bound < 0.0
+        assert abs(margin - bound) <= 1e-9
+        ball = qp.terminal[0]
+        rng = rng_factory(651)
+        U = rng.uniform(qp.box_lo, qp.box_hi, size=(1000, qp.box_lo.size))
+        norms = np.linalg.norm(U @ ball.Tmap.T + ball.tvec, axis=1)
+        assert np.all(norms >= ball.radius - margin)
+        assert np.all(norms >= ball.radius - bound)
+
+    def test_fixed_input_is_certified(self):
+        # a live input pinned to zero by a degenerate box
+        qp = build_condensed(
+            np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2), np.eye(1), 3, [5.0, 5.0], [0.0], [0.0],
+            terminal_balls=[(slice(0, 2), 0.5)],
+        )
+        sol = solve_qp(qp)
+        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
+
+    def test_short_budget_reports_no_margin(self):
+        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=CERTIFY_AT))
+        assert (sol.status, sol.iterations) == (MAX_ITERS, CERTIFY_AT)
+        assert sol.margin is None
+        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=CERTIFY_AT + 1))
+        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+
+    def test_tight_feasible_ball_is_never_infeasible(self, rng_factory):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        reach = 1.0 - margin
+        sol = solve_qp(seed65_qp(rng_factory, 1.01 * reach))
+        assert sol.status == SOLVED
+        assert sol.iterations > CERTIFY_AT + 1
+        assert sol.margin == pytest.approx(0.01 * reach, rel=1e-9)
+        short = solve_qp(seed65_qp(rng_factory, 0.99 * reach))
+        assert (short.status, short.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert short.margin == pytest.approx(-0.01 * reach, rel=1e-9)
+
+    def test_converged_solve_skips_certificate(self, rng_factory):
+        sol = solve_qp(seed65_qp(rng_factory, 3.0))
+        assert sol.status == SOLVED
+        assert 1 < sol.iterations <= CERTIFY_AT
+        assert sol.margin is None
