@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, SolverFailure
 # build_condensed is not called here (the strategies condense through the
 # operators cached on Problem) but stays bound next to solve_qp, so tools
 # that wrap this module's QP entry points by name find both.
-from .qp import SOLVED, build_condensed, solve_qp  # noqa: F401
+from .qp import INFEASIBLE, SOLVED, build_condensed, solve_qp  # noqa: F401
 
 
 @dataclass
@@ -148,19 +148,38 @@ def solve_local_noiter(problem, i, x_i0, warm=None):
     return u_i, SolveInfo(millis=millis, iterations=sol.iterations, label="noiter")
 
 
+def _decisiveness(failure):
+    # An infeasible agent before a capped one, then the least margin.
+    margin = failure.solution.margin
+    return (failure.status != INFEASIBLE, np.inf if margin is None else margin)
+
+
 def solve_noiter_all(problem, xbar0, warm=None):
-    """All local solves; time accounted as the slowest agent."""
+    """All local solves; time accounted as the slowest agent.
+
+    Every agent is solved even when one fails, so the verdict does not
+    depend on agent order: the SolverFailure raised is the most decisive
+    one, an infeasible agent before a capped one, then the least
+    terminal-ball margin.
+    """
     xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
     slices = problem.group_slices()
     seqs = []
     per_agent = []
     iters = 0
+    failures = []
     for i in range(problem.M):
         w_i = warm.u[i] if isinstance(warm, InputSequenceSet) else None
-        u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]], warm=w_i)
+        try:
+            u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]], warm=w_i)
+        except SolverFailure as exc:
+            failures.append(exc)
+            continue
         seqs.append(u_i)
         per_agent.append(info.millis)
         iters += info.iterations
+    if failures:
+        raise min(failures, key=_decisiveness)
     return (
         InputSequenceSet(u=tuple(seqs)),
         SolveInfo(millis=max(per_agent), iterations=iters, label="noiter"),

@@ -1,4 +1,4 @@
-"""Condensed finite-horizon QP and a projection-based operator splitting solver.
+"""Condensed finite-horizon QP, solved exactly where it can be and by ADMM otherwise.
 
 The horizon problem is condensed into the stacked input vector: states are
 eliminated through the prediction operators, leaving
@@ -48,13 +48,24 @@ is feasible exactly when every ball is reachable on its own.  With balls
 that share inputs it is still a proof when it fires, but an infeasible QP
 may then run to the iteration cap.  Solves that converge by CERTIFY_AT
 never pay for it.
+
+A cold solve (no warm start) that passes the checkpoint without such a
+proof, and whose balls BVLS reaches with room to spare, does not go on
+with ADMM: it finishes exactly with a search over the ball multipliers
+(`_multiplier_search`).  For fixed multipliers the Lagrangian over the box
+is a strictly convex box QP that BVLS solves exactly, and Newton's method
+on the secular equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat.
+Comput. 1983) finds the multipliers: a median of 7 BVLS calls, at most 11,
+on the flagship's Monte Carlo draws.  The point it returns lies in the box
+and in every ball with no slack.  Warm restarts keep ADMM, which usually
+finishes them within a few dozen of its cheap iterations.
 """
 
 from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cholesky
+from scipy.linalg import LinAlgError, cho_factor, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch
@@ -281,9 +292,24 @@ class QpSolution:
     w: np.ndarray = field(default=None, repr=False)
     y: np.ndarray = field(default=None, repr=False)
     rho: float = field(default=None, repr=False)
-    # Least ball margin of `ball_margins`; None when the solve stopped
-    # before CERTIFY_AT or the QP has no ball.
+    # Least ball margin of `ball_margins`, set by every solve that reached
+    # the checkpoint at CERTIFY_AT (also when the multiplier search then
+    # solved it); None when the solve stopped before it or has no ball.
     margin: float = None
+
+
+def _bvls(A, b, lo, hi):
+    """BVLS minimizer of ||A x - b|| over the box [lo, hi], and its free mask.
+
+    lsq_linear needs lo < hi, so a fixed input gets one ulp of room; the
+    point is clipped back onto the true box, where that input is not free.
+    """
+    # Imported here: scipy.optimize adds about 0.3 s to `import coopmpc`.
+    from scipy.optimize import lsq_linear
+
+    hi_fit = np.where(hi > lo, hi, np.nextafter(lo, np.inf))
+    fit = lsq_linear(A, b, bounds=(lo, hi_fit), method="bvls")
+    return np.clip(fit.x, lo, hi), (fit.active_mask == 0) & (hi > lo)
 
 
 def ball_margins(qp):
@@ -298,17 +324,11 @@ def ball_margins(qp):
     true margin even when BVLS stops early, and a negative bound proves
     the ball out of reach.  At the BVLS optimum the two agree.
     """
-    # Imported here: scipy.optimize adds about 0.3 s to `import coopmpc`.
-    from scipy.optimize import lsq_linear
-
     lo, hi = qp.box_lo, qp.box_hi
-    # BVLS needs lo < hi: a fixed input gets one ulp of room, which the
-    # bound, taken over the true box, does not rely on.
-    hi_fit = np.where(hi > lo, hi, np.nextafter(lo, np.inf))
     out = []
     for ball in qp.terminal:
-        fit = lsq_linear(ball.Tmap, -ball.tvec, bounds=(lo, hi_fit), method="bvls")
-        r = ball.Tmap @ fit.x + ball.tvec
+        u, _ = _bvls(ball.Tmap, -ball.tvec, lo, hi)
+        r = ball.Tmap @ u + ball.tvec
         dist = float(np.linalg.norm(r))
         bound = 0.0
         if dist > 0.0:
@@ -319,6 +339,120 @@ def ball_margins(qp):
     return out
 
 
+def _multiplier_search(qp, budget, tol):
+    """Exact finish by a search over the ball multipliers.
+
+    For multipliers lam >= 0 on ||T_b u + t_b||^2 <= r_b^2 the Lagrangian
+    minimizer over the box is a strictly convex box QP.  With L L^T =
+    H + 2 sum_b lam_b T_b^T T_b it is the BVLS point of
+    ||L^T u + L^-1 (g + 2 sum_b lam_b T_b^T t_b)||, exact and in the box.
+    Newton's method drives the secular residuals 1/||T_b u + t_b|| - 1/rho_b
+    (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983) to zero, with
+    rho_b = r_b - tol/2 the middle of the band [r_b - tol, r_b] the
+    search stops in, so rounding cannot leave it just outside a ball.
+    The Jacobian comes from the Cholesky factor of the free-set block of
+    the Lagrangian Hessian.  One ball keeps a bracket on lam and bisects
+    (or doubles lam, above any point found inside) when a Newton step
+    leaves it.  Several balls take projected Newton steps on lam >= 0,
+    halved until the dual function provably does not fall, along the
+    Jacobi-scaled dual gradient when the Newton step is no ascent
+    direction.
+
+    Returns (u, lam, calls): u lies in the box and in every ball with no
+    slack, and every ball with a positive multiplier is met within tol.
+    u is None when `budget` BVLS calls did not reach such a point or the
+    search stalled.
+    """
+    H, g, lo, hi = qp.H, qp.g, qp.box_lo, qp.box_hi
+    T = [ball.Tmap for ball in qp.terminal]
+    t = [ball.tvec for ball in qp.terminal]
+    r = np.array([ball.radius for ball in qp.terminal])
+    rho = r - 0.5 * tol
+    TtT = [Tb.T @ Tb for Tb in T]
+    Ttt = np.array([Tb.T @ tb for Tb, tb in zip(T, t)])
+    # Multiplier at which 2 lam T^T T weighs as much as H, for doubling.
+    scale = np.trace(H) / (2.0 * np.maximum([np.trace(A) for A in TtT], np.finfo(float).tiny))
+    calls = 0
+
+    def point(lam):
+        """(u, n, J): the Lagrangian minimizer, its ball norms and the
+        Jacobian J_cb = d(1/n_c)/d lam_b = 2 z_c.z_b / n_c^3 with
+        z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian."""
+        nonlocal calls
+        calls += 1
+        Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, TtT))
+        try:
+            L = cholesky(Hl, lower=True) if lam.any() else qp.ops.H_chol
+            u, free = _bvls(L.T, solve_triangular(L, -(g + 2.0 * lam @ Ttt), lower=True), lo, hi)
+            s = [Tb @ u + tb for Tb, tb in zip(T, t)]
+            n = np.array([sqrt(sb @ sb) for sb in s])
+            Z = np.column_stack([Tb.T[free] @ sb for Tb, sb in zip(T, s)])
+            if free.any():
+                Z = solve_triangular(cholesky(Hl[np.ix_(free, free)], lower=True), Z, lower=True)
+        except LinAlgError:
+            # lam grew until H was lost in rounding, as balls that share
+            # inputs but no point drive it.
+            return None
+        return u, n, 2.0 * (Z.T @ Z) / n[:, None] ** 3
+
+    def done(lam, n):
+        return np.all(n <= r) and np.all((lam == 0.0) | (n >= r - tol))
+
+    lam = np.zeros(len(r))
+    if budget < 1:
+        return None, lam, calls
+    u, n, J = point(lam)
+    if len(r) == 1:
+        below, above, inside = 0.0, np.inf, None
+        while not done(lam, n):
+            if n[0] <= r[0]:
+                above, inside = lam[0], u
+            else:
+                below = lam[0]
+            slope = J[0, 0]
+            new = lam[0] - (1.0 / n[0] - 1.0 / rho[0]) / slope if slope > 0.0 else np.nan
+            if not below < new < above:
+                new = 0.5 * (below + above) if above < np.inf else max(2.0 * lam[0], scale[0])
+            if not below < new < above:
+                return inside, np.array([above]), calls
+            if calls >= budget:
+                return None, lam, calls
+            lam = np.array([new])
+            found = point(lam)
+            if found is None:
+                return None, lam, calls
+            u, n, J = found
+        return u, lam, calls
+
+    def dual(u, lam, n):
+        return 0.5 * u @ H @ u + g @ u + lam @ (n**2 - rho**2)
+
+    while not done(lam, n):
+        grad = n**2 - rho**2
+        live = ((lam > 0.0) | (n > r)) & (np.diag(J) > 0.0)
+        # A ball no free input moves: double lam (or start it), halve it, or hold.
+        step = np.where(n > r, np.maximum(lam, scale), np.where(n < r - tol, -0.5 * lam, 0.0))
+        step[live] = np.linalg.lstsq(J[np.ix_(live, live)], 1.0 / rho[live] - 1.0 / n[live], rcond=None)[0]
+        if grad @ (np.maximum(lam + step, 0.0) - lam) <= 0.0:
+            step[live] = grad[live] / (2.0 * n[live] ** 3 * np.diag(J)[live])
+        base = dual(u, lam, n)
+        while True:
+            trial = np.maximum(lam + step, 0.0)
+            if calls >= budget or np.array_equal(trial, lam):
+                return None, lam, calls
+            found = point(trial)
+            if found is None:
+                return None, lam, calls
+            # Either dual test proves d(trial) >= d(lam); the second is
+            # free of the rounding in the dual values.
+            u2, n2, J2 = found
+            if done(trial, n2) or dual(u2, trial, n2) >= base or (trial - lam) @ (n2**2 - rho**2) >= 0.0:
+                break
+            step *= 0.5
+        lam, u, n, J = trial, u2, n2, J2
+    return u, lam, calls
+
+
 def _ball_violation(qp, u):
     worst = 0.0
     for ball in qp.terminal:
@@ -326,8 +460,37 @@ def _ball_violation(qp, u):
     return worst
 
 
+def _finished(qp, u, lam, rho, iterations, margin):
+    """SOLVED at a point of the multiplier search, with the ADMM restart
+    state its multipliers give: w = M u + c and rho y the multipliers of
+    the box rows (minus the Lagrangian gradient) and of each ball row."""
+    ops = qp.ops
+    w = ops.M @ u
+    y = np.empty_like(w)
+    grad = qp.H @ u + qp.g
+    for lb, (a, b), ball in zip(lam, ops.segments, qp.terminal):
+        w[a:b] += ball.tvec
+        y[a:b] = 2.0 * lb * w[a:b] / rho
+        grad += 2.0 * lb * (ball.Tmap.T @ w[a:b])
+    y[: ops.nu] = -grad / rho
+    inner = (qp.box_lo < u) & (u < qp.box_hi)
+    return QpSolution(
+        u_stack=u,
+        objective=qp.objective(u),
+        iterations=iterations,
+        primal_res=0.0,
+        dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
+        status=SOLVED,
+        w=w,
+        y=y,
+        rho=rho,
+        margin=margin,
+    )
+
+
 def solve_qp(qp, warm_start=None, options=None):
-    """Solve a condensed QP: exact when no constraint binds, else by ADMM.
+    """Solve a condensed QP: exact when no constraint binds or a cold solve
+    passes the certificate checkpoint, else by ADMM.
 
     `qp` comes from `HorizonOperators.condense` or `build_condensed`; the
     stacked constraint matrix, its products and the factor of H are read
@@ -346,12 +509,26 @@ def solve_qp(qp, warm_start=None, options=None):
     than BALL_FEAS_TOL the solve returns INFEASIBLE at iteration
     CERTIFY_AT + 1.  The proof does not depend on BVLS converging, and it
     is exact when the balls act on disjoint inputs, as in every QP the
-    strategies build.  Otherwise ADMM runs on with unchanged iterates.
+    strategies build.
+
+    Otherwise a cold solve (`warm_start` None, H positive definite, every
+    ball reached with a positive margin) finishes with the multiplier
+    search: it returns SOLVED at a point that lies in the box and in every
+    ball exactly, with each ball that binds met within `options.eps_abs`
+    of its radius, primal_res 0, dual_res the largest Lagrangian gradient
+    over the inputs strictly inside the box, w = M u + c and the y its
+    multipliers give.  A warm-started solve, or one whose H is only
+    semidefinite or whose least margin is not positive, runs on with ADMM
+    from unchanged iterates.
 
     Iterations count solves with a factor: step zero is iteration 1 (also
-    when it is skipped because H is only semidefinite) and ADMM iteration
-    k is iteration k + 1, so a solve takes at most `options.max_iters` (at
-    least 1) of them and an exact solve reports 1.
+    when it is skipped because H is only semidefinite), ADMM iteration k is
+    iteration k + 1, the certificate is iteration CERTIFY_AT + 1, and each
+    BVLS call of the search one more.  A solve takes at most
+    `options.max_iters` (at least 1) of them and an exact solve reports 1.
+    When the search runs out of budget (or stalls, which only balls that
+    share inputs have been seen to make it do) the solve returns MAX_ITERS
+    with the ADMM iterate of the checkpoint and the certificate's margin.
     """
     opts = options or SolverOptions()
     ops = qp.ops
@@ -461,6 +638,12 @@ def solve_qp(qp, warm_start=None, options=None):
                 status = INFEASIBLE
                 iterations = it + 1
                 break
+            if warm_start is None and ops.H_chol is not None and margin > 0.0:
+                found, lam, calls = _multiplier_search(qp, opts.max_iters - it - 1, opts.eps_abs)
+                if found is None:
+                    iterations = it + 1 + calls
+                    break
+                return _finished(qp, found, lam, rho, it + 1 + calls, margin)
 
         if it % BALANCE_EVERY == 0:
             # Residual balancing; the scaled dual is rescaled so the

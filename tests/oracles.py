@@ -87,3 +87,41 @@ def lyapunov_fixed_point(F, W, iters=20000):
         if np.max(np.abs(term)) < 1e-16:
             break
     return P
+
+
+def solve_one_ball_qp_bisection(H, g, lo, hi, Tmap, tvec, radius, iters=60):
+    """Minimizer of 0.5 u'Hu + g'u over the box [lo, hi] and one ball
+    ||Tmap u + tvec|| <= radius, by bisection on the ball's multiplier.
+
+    For a multiplier lam >= 0 the Lagrangian minimizer over the box is the
+    box QP with H + 2 lam Tmap'Tmap and g + 2 lam Tmap'tvec, solved by
+    active-set enumeration; its terminal norm falls as lam grows.  The
+    multiplier is bracketed by doubling and bisected `iters` times; the
+    point of the upper end, which lies in the ball, is returned.  The ball
+    must be reachable with room to spare.
+    """
+    H = np.asarray(H, dtype=float)
+    g = np.asarray(g, dtype=float).reshape(-1)
+    T = np.asarray(Tmap, dtype=float)
+    t = np.asarray(tvec, dtype=float).reshape(-1)
+
+    def point(lam):
+        return solve_box_qp_active_set(H + 2.0 * lam * T.T @ T, g + 2.0 * lam * T.T @ t, lo, hi)
+
+    def inside(u):
+        return np.linalg.norm(T @ u + t) <= radius
+
+    if inside(point(0.0)):
+        return point(0.0)
+    below, above = 0.0, 1.0
+    while not inside(point(above)):
+        below, above = above, 2.0 * above
+        if above > 1e12:
+            raise AssertionError("ball not reached by bisection")
+    for _ in range(iters):
+        mid = 0.5 * (below + above)
+        if inside(point(mid)):
+            above = mid
+        else:
+            below = mid
+    return point(above)

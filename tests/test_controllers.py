@@ -122,6 +122,20 @@ class TestNoIteration:
         with pytest.raises(SolverFailure, match="status max_iters .terminal-ball margin n/a.$"):
             solve_local_noiter(starved, 0, x_0)
 
+    def test_failure_of_several_agents_reports_the_least_margin(self, flagship):
+        xbar = flagship.pmap.to_regrouped(4.0 * np.asarray(X0_EXP2, dtype=float))
+        margins = []
+        for i, s in enumerate(flagship.group_slices()):
+            with pytest.raises(SolverFailure) as info:
+                solve_local_noiter(flagship, i, xbar[s])
+            assert info.value.status == INFEASIBLE
+            margins.append(info.value.solution.margin)
+        assert len(set(margins)) == 3
+        with pytest.raises(SolverFailure) as info:
+            solve_noiter_all(flagship, xbar)
+        assert info.value.status == INFEASIBLE
+        assert info.value.solution.margin == min(margins)
+
     def test_independent_of_other_agents(self, flagship, rng_factory):
         rng = rng_factory(73)
         xa = rng.uniform(-5.0, 5.0, size=18)

@@ -253,6 +253,18 @@ class TestMonteCarlo:
                 assert rec["margin"] < 0.0
             else:
                 assert rec["margin"] >= 0.0
+        # agent 1 of draw 35 is capped, but agent 2's ball is out of reach
+        (draw35,) = [rec for rec in a.excluded_draws if rec["index"] == 35]
+        assert draw35["status"] == INFEASIBLE
+        assert draw35["margin"] == pytest.approx(-0.0352, abs=5e-5)
+
+    def test_default_budget_excludes_only_infeasible_draws(self, flagship):
+        cfg = StrategyConfig(kind="noiter")
+        rep = monte_carlo(flagship, draws=50, bounds=(-8.0, 8.0), strategy=cfg, seed=20)
+        assert [rec["index"] for rec in rep.excluded_draws] == [14, 33, 35, 37]
+        assert {rec["status"] for rec in rep.excluded_draws} == {INFEASIBLE}
+        margins = [rec["margin"] for rec in rep.excluded_draws]
+        assert margins == pytest.approx([-0.5535, -0.0404, -0.0352, -0.5497], abs=5e-5)
 
     def test_seed_changes_sample(self, rng_factory):
         rng = rng_factory(86)

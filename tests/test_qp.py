@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_qp
+from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_noiter_all, solve_qp
 from coopmpc.qp import BALL_FEAS_TOL, CERTIFY_AT, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
+from coopmpc.qp import _multiplier_search
 
-from oracles import horizon_cost, solve_box_qp_active_set
+from oracles import horizon_cost, solve_box_qp_active_set, solve_one_ball_qp_bisection
 
 
 def random_condensed(rng, n=2, m=1, N=3, x0_scale=1.0, lo=-4.0, hi=4.0, balls=None):
@@ -296,3 +297,179 @@ class TestInfeasibilityCertificate:
         assert sol.status == SOLVED
         assert 1 < sol.iterations <= CERTIFY_AT
         assert sol.margin is None
+
+
+def in_box_and_balls(qp, u):
+    """The point lies in the box and in every ball, with no tolerance."""
+    return bool(
+        np.all(qp.box_lo <= u)
+        and np.all(u <= qp.box_hi)
+        and all(np.linalg.norm(b.Tmap @ u + b.tvec) <= b.radius for b in qp.terminal)
+    )
+
+
+class TestExactFinish:
+    """Cold solves unfinished at CERTIFY_AT end with the multiplier search."""
+
+    def test_one_ball_matches_bisection_oracle(self, rng_factory):
+        rng = rng_factory(13)
+        for n, m, N in [(2, 1, 5), (3, 1, 4), (2, 2, 2), (3, 1, 6), (2, 2, 3), (2, 1, 3)]:
+            qp, (A, B, Q, P, R, x0) = random_condensed(
+                rng, n=n, m=m, N=N, x0_scale=5.0, lo=-1.0, hi=1.0, balls=[(slice(0, n), 1.0)]
+            )
+            # a radius between the least reachable norm and the box optimum's
+            ((margin, _),) = ball_margins(qp)
+            term = qp.terminal[0]
+            u_box = solve_box_qp_active_set(qp.H, qp.g, qp.box_lo, qp.box_hi)
+            reach = 1.0 - margin
+            radius = reach + 0.1 * (np.linalg.norm(term.Tmap @ u_box + term.tvec) - reach)
+            qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, n), radius)])
+            sol = solve_qp(qp)
+            assert sol.status == SOLVED
+            assert sol.iterations > CERTIFY_AT + 1
+            assert in_box_and_balls(qp, sol.u_stack)
+            ref = solve_one_ball_qp_bisection(qp.H, qp.g, qp.box_lo, qp.box_hi, term.Tmap, term.tvec, radius)
+            assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
+
+    def test_tight_one_ball_instances_match_bisection_oracle(self, rng_factory):
+        # Large states and balls just past the least reachable norm: the
+        # box optimum saturates inputs, so Newton steps leave the bracket
+        # and the search doubles or bisects the multiplier.  The point is
+        # the exact optimum for its own terminal norm, which lies within
+        # eps_abs inside the radius.
+        rng = rng_factory(5)
+        tol = SolverOptions().eps_abs
+        searched = 0
+        for _ in range(60):
+            m = int(rng.integers(1, 3))
+            N = int(rng.integers(2, 4)) if m == 1 else 2
+            qp, (A, B, Q, P, R, x0) = random_condensed(
+                rng, m=m, N=N, x0_scale=8.0, lo=-1.0, hi=1.0, balls=[(slice(0, 2), 1.0)]
+            )
+            ((margin, _),) = ball_margins(qp)
+            term = qp.terminal[0]
+            u_box = solve_box_qp_active_set(qp.H, qp.g, qp.box_lo, qp.box_hi)
+            reach = 1.0 - margin
+            spread = np.linalg.norm(term.Tmap @ u_box + term.tvec) - reach
+            if spread < 1e-3:
+                continue
+            radius = reach + 0.05 * spread
+            qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, 2), radius)])
+            sol = solve_qp(qp)
+            assert sol.status == SOLVED
+            if sol.iterations > CERTIFY_AT + 1:
+                searched += 1
+                assert in_box_and_balls(qp, sol.u_stack)
+                reached = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
+                assert radius - reached <= tol
+                ref = solve_one_ball_qp_bisection(qp.H, qp.g, qp.box_lo, qp.box_hi, term.Tmap, term.tvec, reached)
+                assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
+        assert searched >= 10
+
+    def test_tight_ball_has_no_slack(self, rng_factory):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED
+        assert sol.iterations > CERTIFY_AT + 1
+        assert in_box_and_balls(qp, sol.u_stack)
+        term = qp.terminal[0]
+        norm = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
+        assert term.radius - norm <= SolverOptions().eps_abs
+
+    def test_fixed_input_feasible(self):
+        # the second channel is pinned to 0.3 at every stage
+        A = np.array([[0.9, 0.2], [0.0, 0.8]])
+        B = np.array([[1.0, 0.5], [0.3, 1.0]])
+        args = (A, B, np.eye(2), 2.0 * np.eye(2), np.eye(2), 3, [4.0, -6.0], [-1.0, 0.3], [1.0, 0.3])
+        ((margin, _),) = ball_margins(build_condensed(*args, terminal_balls=[(slice(0, 2), 1.0)]))
+        radius = 1.01 * (1.0 - margin)
+        qp = build_condensed(*args, terminal_balls=[(slice(0, 2), radius)])
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED
+        assert sol.iterations > CERTIFY_AT + 1
+        assert in_box_and_balls(qp, sol.u_stack)
+        assert np.all(sol.u_stack[1::2] == 0.3)
+        term = qp.terminal[0]
+        ref = solve_one_ball_qp_bisection(qp.H, qp.g, qp.box_lo, qp.box_hi, term.Tmap, term.tvec, radius)
+        assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
+
+    def test_each_bvls_call_counts_against_budget(self, rng_factory):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
+        full = solve_qp(qp)
+        calls = full.iterations - (CERTIFY_AT + 1)
+        assert full.status == SOLVED and calls >= 2
+        exact = solve_qp(qp, options=SolverOptions(max_iters=full.iterations))
+        assert (exact.status, exact.iterations) == (SOLVED, full.iterations)
+        assert np.array_equal(exact.u_stack, full.u_stack)
+        for budget in (CERTIFY_AT + 1, full.iterations - 1):
+            short = solve_qp(qp, options=SolverOptions(max_iters=budget))
+            assert (short.status, short.iterations) == (MAX_ITERS, budget)
+            assert short.margin == full.margin
+
+    def test_search_solution_restarts_admm_at_once(self, rng_factory):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
+        cold = solve_qp(qp)
+        assert cold.iterations > CERTIFY_AT + 1
+        warm = solve_qp(qp, warm_start=cold)
+        assert warm.status == SOLVED
+        assert warm.iterations <= 3
+        assert np.max(np.abs(warm.u_stack - cold.u_stack)) <= 1e-6
+
+    def test_flagship_draws_finish_in_few_bvls_calls(self, flagship):
+        # every centralized and local QP of the first 50 seed-20 Monte
+        # Carlo draws that reaches the search
+        rng = np.random.Generator(np.random.PCG64(20))
+        X0 = -8.0 + 16.0 * rng.random((50, flagship.n))
+        calls = []
+        for x in X0:
+            xbar = flagship.pmap.to_regrouped(x)
+            qps = [flagship.centralized_operators().condense(xbar)]
+            qps += [flagship.agent_operators(i).ops.condense(xbar[s]) for i, s in enumerate(flagship.group_slices())]
+            for qp in qps:
+                sol = solve_qp(qp)
+                if sol.status == SOLVED and sol.iterations > CERTIFY_AT + 1:
+                    assert in_box_and_balls(qp, sol.u_stack)
+                    calls.append(sol.iterations - (CERTIFY_AT + 1))
+        assert len(calls) >= 40
+        assert np.median(calls) <= 7 and max(calls) <= 12
+
+    def test_capped_flagship_draw_is_solved_centralized(self, flagship):
+        # seed-20 Monte Carlo draw 30, whose noiter solve used to hit the cap
+        rng = np.random.Generator(np.random.PCG64(20))
+        X0 = -8.0 + 16.0 * rng.random((31, flagship.n))
+        xbar = flagship.pmap.to_regrouped(X0[30])
+        qp = flagship.centralized_operators().condense(xbar)
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED
+        assert sol.iterations > CERTIFY_AT + 1
+        assert in_box_and_balls(qp, sol.u_stack)
+        noiter, _ = solve_noiter_all(flagship, xbar)
+        assert sol.objective <= qp.objective(noiter.stacked())
+
+    def test_shared_input_balls_meet_kkt_conditions(self, rng_factory):
+        # Balls on overlapping state rows share every input, so the search
+        # takes coupled Newton steps; on some of these instances plain
+        # Newton steps cycle and only the safeguard finishes.
+        rng = rng_factory(4)
+        tol = SolverOptions().eps_abs
+        for _ in range(40):
+            n, N = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            qp, (A, B, Q, P, R, x0) = random_condensed(rng, n=n, N=N, x0_scale=rng.uniform(1.0, 8.0), lo=-1.0, hi=1.0)
+            rows = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(3)]
+            probe = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(idx, 1.0) for idx in rows])
+            # radii around a random box point keep the balls' intersection reachable
+            u_in = rng.uniform(-1.0, 1.0, size=N)
+            radii = [1.05 * np.linalg.norm(b.Tmap @ u_in + b.tvec) for b in probe.terminal]
+            qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=list(zip(rows, radii)))
+            u, lam, calls = _multiplier_search(qp, 100, tol)
+            assert u is not None and calls <= 100
+            assert in_box_and_balls(qp, u) and np.all(lam >= 0.0)
+            for b, lb in zip(qp.terminal, lam):
+                assert lb == 0.0 or np.linalg.norm(b.Tmap @ u + b.tvec) >= b.radius - tol
+            # u minimizes the Lagrangian at lam over the box
+            Hl = qp.H + sum(2.0 * lb * b.Tmap.T @ b.Tmap for b, lb in zip(qp.terminal, lam))
+            gl = qp.g + sum(2.0 * lb * b.Tmap.T @ b.tvec for b, lb in zip(qp.terminal, lam))
+            assert np.max(np.abs(u - solve_box_qp_active_set(Hl, gl, qp.box_lo, qp.box_hi))) <= 1e-7
