@@ -27,38 +27,41 @@ the explicit-MPC picture (Bemporad, Morari, Dua & Pistikopoulos,
 Automatica 2002) these are the states of the critical region whose active
 set is empty; near the origin of a regulated loop they are the common case.
 
-Otherwise the solver is a scaled ADMM with one splitting variable per
+The box (lo <= hi) is never empty, so only the balls can make the
+problem infeasible.  A cold solve (no warm start) whose unconstrained
+minimizer is infeasible next checks each ball once (`ball_margins`): BVLS
+(Stark & Parker, Computational Statistics 1995) gives the least terminal
+norm ||Tmap u + tvec|| reachable over the box, and the hyperplane through
+that point gives a lower bound on the norm that holds whatever BVLS
+returned.  When the bound exceeds a ball's radius by more than
+BALL_FEAS_TOL, no input in the box reaches the ball and the solve stops as
+INFEASIBLE.  Up to that tolerance the check is exact for every QP the
+strategies build: each of their balls acts on a different agent's inputs,
+so the QP is feasible exactly when every ball is reachable on its own.
+With balls that share inputs it is still a proof when it fires, but an
+infeasible QP may then run to the iteration cap.
+
+When every ball is reached with room to spare (or there is no ball), the
+cold solve finishes exactly with a search over the ball multipliers
+(`_multiplier_search`).  For fixed multipliers the Lagrangian over the box
+is a strictly convex box QP, which a primal active set on its Cholesky
+factor solves exactly (`_box_qp`), and Newton's method on the secular
+equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983)
+finds the multipliers: a median of 5 box QPs, at most 11, on the
+flagship's Monte Carlo draws.  The point it returns lies in the box and in
+every ball with no slack.
+
+Every other solve runs a scaled ADMM with one splitting variable per
 constraint set (the box over the stacked input and one Euclidean ball per
 terminal set), stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...]
-taken from the operators.  The penalty is initialized from the diagonal of
-H, residual balancing runs every BALANCE_EVERY iterations, and the
-iterate is over-relaxed by OVER_RELAX.
-
-The box (lo <= hi) is never empty, so only the balls can make the
-problem infeasible.  A solve that has not converged after CERTIFY_AT ADMM
-iterations checks each ball once (`ball_margins`): BVLS (Stark & Parker,
-Computational Statistics 1995) gives the least terminal norm
-||Tmap u + tvec|| reachable over the box, and the hyperplane through that
-point gives a lower bound on the norm that holds whatever BVLS returned.
-When the bound exceeds a ball's radius by more than BALL_FEAS_TOL, no
-input in the box reaches the ball and the solve stops as INFEASIBLE.
-Up to that tolerance the check is exact for every QP the strategies
-build: each of their balls acts on a different agent's inputs, so the QP
-is feasible exactly when every ball is reachable on its own.  With balls
-that share inputs it is still a proof when it fires, but an infeasible QP
-may then run to the iteration cap.  Solves that converge by CERTIFY_AT
-never pay for it.
-
-A cold solve (no warm start) that passes the checkpoint without such a
-proof, and whose balls BVLS reaches with room to spare, does not go on
-with ADMM: it finishes exactly with a search over the ball multipliers
-(`_multiplier_search`).  For fixed multipliers the Lagrangian over the box
-is a strictly convex box QP that BVLS solves exactly, and Newton's method
-on the secular equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat.
-Comput. 1983) finds the multipliers: a median of 7 BVLS calls, at most 11,
-on the flagship's Monte Carlo draws.  The point it returns lies in the box
-and in every ball with no slack.  Warm restarts keep ADMM, which usually
-finishes them within a few dozen of its cheap iterations.
+taken from the operators: warm restarts, which ADMM usually finishes
+within a few dozen of its cheap iterations, solves whose H is only
+semidefinite, cold solves whose least margin is not positive without a
+proof of infeasibility, and cold solves whose search stalls.  The penalty
+is initialized from the diagonal of H, residual balancing runs every
+BALANCE_EVERY iterations, and the iterate is over-relaxed by OVER_RELAX.
+An ADMM solve that has not converged after CERTIFY_AT iterations and has
+not yet checked its balls checks them then, with the same verdict.
 """
 
 from dataclasses import dataclass, field
@@ -66,7 +69,7 @@ from math import sqrt
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatch
 
@@ -81,7 +84,8 @@ OVER_RELAX = 1.6
 BALANCE_EVERY = 50
 BALANCE_RATIO = 10.0
 BALANCE_FACTOR = 2.0
-# ADMM iteration at which an unconverged solve certifies its balls.
+# ADMM iteration at which an unconverged solve that has not checked its
+# balls yet (a warm or semidefinite one) certifies them.
 CERTIFY_AT = 4 * BALANCE_EVERY
 
 
@@ -292,9 +296,10 @@ class QpSolution:
     w: np.ndarray = field(default=None, repr=False)
     y: np.ndarray = field(default=None, repr=False)
     rho: float = field(default=None, repr=False)
-    # Least ball margin of `ball_margins`, set by every solve that reached
-    # the checkpoint at CERTIFY_AT (also when the multiplier search then
-    # solved it); None when the solve stopped before it or has no ball.
+    # Least ball margin of `ball_margins`, set by every solve that checked
+    # its balls: a cold solve past step zero (also when the multiplier
+    # search then solved it), or an ADMM solve at CERTIFY_AT.  None when
+    # the solve stopped before the check or has no ball.
     margin: float = None
 
 
@@ -310,6 +315,57 @@ def _bvls(A, b, lo, hi):
     hi_fit = np.where(hi > lo, hi, np.nextafter(lo, np.inf))
     fit = lsq_linear(A, b, bounds=(lo, hi_fit), method="bvls")
     return np.clip(fit.x, lo, hi), (fit.active_mask == 0) & (hi > lo)
+
+
+def _box_qp(H, c, lo, hi, L):
+    """Minimizer of 0.5 u'Hu + c'u over the box [lo, hi], and its free mask.
+
+    H is positive definite and L its lower Cholesky factor.  A primal
+    active set (Nocedal & Wright, Numerical Optimization, 2006, 16.5)
+    starts from the unconstrained minimizer clipped onto the box, holding
+    every input that lies on a bound there.  Each step minimizes over the
+    free inputs with the held ones fixed and moves towards that point
+    until a free input meets a bound, which is then held.  At the
+    minimizer of a step, the held input whose gradient points into the box
+    by the most beyond its rounding error is released; when there is none
+    the point satisfies the KKT conditions.  Inputs with lo == hi are never
+    released, so they sit exactly at their value.  A guard of 4 n steps
+    ends a cycle that rounding could cause; BVLS on ||L^T u + L^-1 c|| then
+    finishes the solve, as it does when the factor of a step fails.
+    """
+    u = np.clip(dpotrs(L, -c, lower=True)[0], lo, hi)
+    held = (u == lo) | (u == hi)
+    movable = lo < hi
+    rounding = len(c) * np.finfo(float).eps
+    for _ in range(4 * len(c)):
+        free = np.flatnonzero(~held)
+        if free.size:
+            fixed = np.flatnonzero(held)
+            uf = u[free]
+            rhs = -(c[free] + H[free[:, None], fixed] @ u[fixed])
+            target, info = dposv(H[free[:, None], free], rhs, lower=1)[1:]
+            if info:
+                break
+            out = (target < lo[free]) | (target > hi[free])
+            if out.any():
+                # Step to the first bound a free input meets, and hold it.
+                edge = np.where(target < lo[free], lo[free], hi[free])[out]
+                frac = (edge - uf[out]) / (target[out] - uf[out])
+                j = np.argmin(frac)
+                u[free] = np.clip(uf + frac[j] * (target - uf), lo[free], hi[free])
+                k = free[out][j]
+                u[k] = edge[j]
+                held[k] = True
+                continue
+            u[free] = target
+        grad = H @ u + c
+        pull = np.where(u == lo, -grad, grad) - rounding * (np.abs(H) @ np.abs(u) + np.abs(c))
+        pull[~(held & movable)] = 0.0
+        k = np.argmax(pull)
+        if pull[k] <= 0.0:
+            return u, ~held
+        held[k] = False
+    return _bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi)
 
 
 def ball_margins(qp):
@@ -343,9 +399,9 @@ def _multiplier_search(qp, budget, tol):
     """Exact finish by a search over the ball multipliers.
 
     For multipliers lam >= 0 on ||T_b u + t_b||^2 <= r_b^2 the Lagrangian
-    minimizer over the box is a strictly convex box QP.  With L L^T =
-    H + 2 sum_b lam_b T_b^T T_b it is the BVLS point of
-    ||L^T u + L^-1 (g + 2 sum_b lam_b T_b^T t_b)||, exact and in the box.
+    minimizer over the box is the strictly convex box QP with Hessian
+    H + 2 sum_b lam_b T_b^T T_b and linear term g + 2 sum_b lam_b T_b^T t_b,
+    which `_box_qp` solves exactly, in the box, from its Cholesky factor.
     Newton's method drives the secular residuals 1/||T_b u + t_b|| - 1/rho_b
     (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983) to zero, with
     rho_b = r_b - tol/2 the middle of the band [r_b - tol, r_b] the
@@ -360,7 +416,7 @@ def _multiplier_search(qp, budget, tol):
 
     Returns (u, lam, calls): u lies in the box and in every ball with no
     slack, and every ball with a positive multiplier is met within tol.
-    u is None when `budget` BVLS calls did not reach such a point or the
+    u is None when `budget` box QPs did not reach such a point or the
     search stalled.
     """
     H, g, lo, hi = qp.H, qp.g, qp.box_lo, qp.box_hi
@@ -372,27 +428,34 @@ def _multiplier_search(qp, budget, tol):
     Ttt = np.array([Tb.T @ tb for Tb, tb in zip(T, t)])
     # Multiplier at which 2 lam T^T T weighs as much as H, for doubling.
     scale = np.trace(H) / (2.0 * np.maximum([np.trace(A) for A in TtT], np.finfo(float).tiny))
+    lost = scale / np.finfo(float).eps
     calls = 0
 
     def point(lam):
         """(u, n, J): the Lagrangian minimizer, its ball norms and the
         Jacobian J_cb = d(1/n_c)/d lam_b = 2 z_c.z_b / n_c^3 with
-        z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian."""
+        z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian.
+        None once some lam_b is past scale_b / eps, where H is lost in
+        rounding, or a factor fails: balls that share inputs but no point
+        drive lam there."""
         nonlocal calls
+        if np.any(lam > lost):
+            return None
         calls += 1
         Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, TtT))
-        try:
-            L = cholesky(Hl, lower=True) if lam.any() else qp.ops.H_chol
-            u, free = _bvls(L.T, solve_triangular(L, -(g + 2.0 * lam @ Ttt), lower=True), lo, hi)
-            s = [Tb @ u + tb for Tb, tb in zip(T, t)]
-            n = np.array([sqrt(sb @ sb) for sb in s])
-            Z = np.column_stack([Tb.T[free] @ sb for Tb, sb in zip(T, s)])
-            if free.any():
-                Z = solve_triangular(cholesky(Hl[np.ix_(free, free)], lower=True), Z, lower=True)
-        except LinAlgError:
-            # lam grew until H was lost in rounding, as balls that share
-            # inputs but no point drive it.
+        L, info = dpotrf(Hl, lower=1) if lam.any() else (qp.ops.H_chol, 0)
+        if info:
             return None
+        u, free = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
+        s = [Tb @ u + tb for Tb, tb in zip(T, t)]
+        n = np.array([sqrt(sb @ sb) for sb in s])
+        # One column per ball; the reshape keeps the shape when there is none.
+        Z = np.array([Tb.T @ sb for Tb, sb in zip(T, s)]).reshape(len(s), len(u)).T[free]
+        if free.any():
+            K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
+            if info:
+                return None
+            Z = dtrtrs(K, Z, lower=1)[0]
         return u, n, 2.0 * (Z.T @ Z) / n[:, None] ** 3
 
     def done(lam, n):
@@ -489,8 +552,8 @@ def _finished(qp, u, lam, rho, iterations, margin):
 
 
 def solve_qp(qp, warm_start=None, options=None):
-    """Solve a condensed QP: exact when no constraint binds or a cold solve
-    passes the certificate checkpoint, else by ADMM.
+    """Solve a condensed QP: exactly when no constraint binds or the solve
+    is cold, else by ADMM.
 
     `qp` comes from `HorizonOperators.condense` or `build_condensed`; the
     stacked constraint matrix, its products and the factor of H are read
@@ -500,35 +563,40 @@ def solve_qp(qp, warm_start=None, options=None):
     Step zero solves H u = -g with the cached factor.  If u satisfies the
     box and every ball exactly, it is returned as SOLVED with zero
     residuals, w = M u + c, y = 0 and the penalty ADMM would have started
-    from, whatever the warm start.  Otherwise ADMM runs from the warm
-    start.  Its termination requires the primal and dual residuals below
-    their tolerances and, after clipping the iterate onto the box, every
-    terminal ball satisfied to 1e-8.  If ADMM has not converged after
-    CERTIFY_AT iterations, `ball_margins` runs once; the least margin is
-    reported as `margin`, and when some ball is proven out of reach by more
-    than BALL_FEAS_TOL the solve returns INFEASIBLE at iteration
-    CERTIFY_AT + 1.  The proof does not depend on BVLS converging, and it
-    is exact when the balls act on disjoint inputs, as in every QP the
-    strategies build.
+    from, whatever the warm start.
 
-    Otherwise a cold solve (`warm_start` None, H positive definite, every
-    ball reached with a positive margin) finishes with the multiplier
-    search: it returns SOLVED at a point that lies in the box and in every
-    ball exactly, with each ball that binds met within `options.eps_abs`
-    of its radius, primal_res 0, dual_res the largest Lagrangian gradient
-    over the inputs strictly inside the box, w = M u + c and the y its
-    multipliers give.  A warm-started solve, or one whose H is only
-    semidefinite or whose least margin is not positive, runs on with ADMM
-    from unchanged iterates.
+    Otherwise a cold solve (`warm_start` None, H positive definite) runs
+    `ball_margins` at once; the least margin is reported as `margin`, and
+    when some ball is proven out of reach by more than BALL_FEAS_TOL the
+    solve returns INFEASIBLE with u clipped onto the box.  The proof does
+    not depend on BVLS converging, and it is exact when the balls act on
+    disjoint inputs, as in every QP the strategies build.  When the least
+    margin is positive, or there is no ball, the multiplier search finishes
+    the solve: it returns SOLVED at a point that lies in the box and in
+    every ball exactly, with each ball that binds met within
+    `options.eps_abs` of its radius, primal_res 0, dual_res the largest
+    Lagrangian gradient over the inputs strictly inside the box,
+    w = M u + c and the y its multipliers give.
+
+    ADMM runs from the warm start (a cold one from u = 0) in every other
+    case: a warm start, an H that is only semidefinite, a least margin that
+    is not positive without a proof, or a search that stalls with budget
+    left (which only balls that share inputs have been seen to make it do).
+    Its termination requires the primal and dual residuals below their
+    tolerances and, after clipping the iterate onto the box, every terminal
+    ball satisfied to 1e-8.  If ADMM has not converged after CERTIFY_AT
+    iterations and the balls have not been checked yet, `ball_margins`
+    runs then, with the same verdict.
 
     Iterations count solves with a factor: step zero is iteration 1 (also
-    when it is skipped because H is only semidefinite), ADMM iteration k is
-    iteration k + 1, the certificate is iteration CERTIFY_AT + 1, and each
-    BVLS call of the search one more.  A solve takes at most
-    `options.max_iters` (at least 1) of them and an exact solve reports 1.
-    When the search runs out of budget (or stalls, which only balls that
-    share inputs have been seen to make it do) the solve returns MAX_ITERS
-    with the ADMM iterate of the checkpoint and the certificate's margin.
+    when it is skipped because H is only semidefinite), the certificate of
+    a cold solve is iteration 2 (also when there is no ball to check), each
+    box QP of the search one more, and ADMM iterations follow whatever came
+    before them; a warm solve certifies at iteration CERTIFY_AT + 1.  A
+    solve takes at most `options.max_iters` (at least 1) of them, an exact
+    solve reports 1 and a cold infeasible one 2.  A solve that runs out of
+    budget returns MAX_ITERS with the margin of its certificate, if it got
+    that far.
     """
     opts = options or SolverOptions()
     ops = qp.ops
@@ -548,6 +616,9 @@ def solve_qp(qp, warm_start=None, options=None):
     else:
         rho = max(1e-3, 0.1 * float(np.mean(np.diag(H))))
 
+    # Iterations spent before ADMM: step zero, the certificate and the box QPs.
+    start = 1
+    margin = None
     if ops.H_chol is not None:
         u = dpotrs(ops.H_chol, -g, lower=True)[0]
         v = M @ u + cvec
@@ -567,6 +638,29 @@ def solve_qp(qp, warm_start=None, options=None):
                 y=np.zeros(M.shape[0]),
                 rho=rho,
             )
+        if warm_start is None and opts.max_iters > 1:
+            start = 2
+            margins = ball_margins(qp)
+            margin = min((m for m, _ in margins), default=None)
+            if margins and min(bound for _, bound in margins) < -BALL_FEAS_TOL:
+                u = np.clip(u, box_lo, box_hi)
+                return QpSolution(
+                    u_stack=u,
+                    objective=qp.objective(u),
+                    iterations=start,
+                    primal_res=np.inf,
+                    dual_res=np.inf,
+                    status=INFEASIBLE,
+                    w=M @ u + cvec,
+                    y=np.zeros(M.shape[0]),
+                    rho=rho,
+                    margin=margin,
+                )
+            if margin is None or margin > 0.0:
+                found, lam, calls = _multiplier_search(qp, opts.max_iters - start, opts.eps_abs)
+                start += calls
+                if found is not None:
+                    return _finished(qp, found, lam, rho, start, margin)
 
     Mtc = Mt @ cvec
     # The box as bounds on all of v, unbounded on the ball rows.
@@ -605,9 +699,8 @@ def solve_qp(qp, warm_start=None, options=None):
     Mty = Mt @ y
     status = MAX_ITERS
     r_norm = d_norm = np.inf
-    margin = None
     iterations = opts.max_iters
-    for it in range(1, opts.max_iters):
+    for it in range(1, opts.max_iters - start + 1):
         u = dpotrs(chol, rho * (Mtw - Mtc - Mty) - g, lower=lower)[0]
         v = M @ u + cvec
         v_rel = OVER_RELAX * v + (1.0 - OVER_RELAX) * w
@@ -628,22 +721,16 @@ def solve_qp(qp, warm_start=None, options=None):
                 clipped = np.clip(u, box_lo, box_hi)
                 if _ball_violation(qp, clipped) <= BALL_FEAS_TOL:
                     status = SOLVED
-                    iterations = it + 1
+                    iterations = start + it
                     break
 
-        if it == CERTIFY_AT and qp.terminal:
+        if it == CERTIFY_AT and qp.terminal and margin is None:
             margins = ball_margins(qp)
             margin = min(m for m, _ in margins)
             if min(bound for _, bound in margins) < -BALL_FEAS_TOL:
                 status = INFEASIBLE
-                iterations = it + 1
+                iterations = start + it
                 break
-            if warm_start is None and ops.H_chol is not None and margin > 0.0:
-                found, lam, calls = _multiplier_search(qp, opts.max_iters - it - 1, opts.eps_abs)
-                if found is None:
-                    iterations = it + 1 + calls
-                    break
-                return _finished(qp, found, lam, rho, it + 1 + calls, margin)
 
         if it % BALANCE_EVERY == 0:
             # Residual balancing; the scaled dual is rescaled so the

@@ -25,7 +25,7 @@ from coopmpc import (
     trace_to_csv,
 )
 
-from coopmpc.qp import CERTIFY_AT, INFEASIBLE, MAX_ITERS
+from coopmpc.qp import INFEASIBLE, MAX_ITERS
 
 from support import X0_EXP1, assemble, random_certified_problem
 
@@ -239,8 +239,8 @@ class TestMonteCarlo:
         assert rep.loss_worst == pytest.approx(rep.loss_mean, abs=1e-12)
 
     def test_excluded_draws_carry_verdicts(self, flagship):
-        # A budget just past the certificate keeps the cap-hitting draws short.
-        prob = replace(flagship, solver=SolverOptions(max_iters=CERTIFY_AT + 1))
+        # A budget that ends at the certificate keeps the constrained draws short.
+        prob = replace(flagship, solver=SolverOptions(max_iters=2))
         cfg = StrategyConfig(kind="noiter")
         a = monte_carlo(prob, draws=40, bounds=(-8.0, 8.0), strategy=cfg, seed=20)
         b = monte_carlo(prob, draws=40, bounds=(-8.0, 8.0), strategy=cfg, seed=20)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_noiter_all, solve_qp
 from coopmpc.qp import BALL_FEAS_TOL, CERTIFY_AT, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
-from coopmpc.qp import _multiplier_search
+from coopmpc.qp import _box_qp, _bvls, _multiplier_search
 
 from oracles import horizon_cost, solve_box_qp_active_set, solve_one_ball_qp_bisection
 
@@ -244,13 +245,18 @@ def seed65_qp(rng_factory, radius):
 
 
 class TestInfeasibilityCertificate:
-    """The BVLS checkpoint after CERTIFY_AT unconverged ADMM iterations."""
+    """The BVLS checkpoint: iteration 2 of a cold solve, and after CERTIFY_AT
+    unconverged ADMM iterations of a warm one."""
 
     def test_dead_input_certified_at_checkpoint(self):
         sol = solve_qp(dead_input_qp())
-        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
         # ||(5, 5)|| can only be reached, so the margin is 0.5 - 5 sqrt(2)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
+        # a warm start runs ADMM up to its checkpoint first
+        warm = solve_qp(dead_input_qp(), warm_start=np.zeros(3))
+        assert (warm.status, warm.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert warm.margin == sol.margin
 
     def test_bound_is_sound(self, rng_factory):
         qp = seed65_qp(rng_factory, 1.0)
@@ -271,14 +277,23 @@ class TestInfeasibilityCertificate:
             terminal_balls=[(slice(0, 2), 0.5)],
         )
         sol = solve_qp(qp)
-        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
+        warm = solve_qp(qp, warm_start=np.zeros(3))
+        assert (warm.status, warm.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert warm.margin == sol.margin
 
     def test_short_budget_reports_no_margin(self):
-        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=CERTIFY_AT))
+        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=1))
+        assert (sol.status, sol.iterations) == (MAX_ITERS, 1)
+        assert sol.margin is None
+        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=2))
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
+        warm = np.zeros(3)
+        sol = solve_qp(dead_input_qp(), warm_start=warm, options=SolverOptions(max_iters=CERTIFY_AT))
         assert (sol.status, sol.iterations) == (MAX_ITERS, CERTIFY_AT)
         assert sol.margin is None
-        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=CERTIFY_AT + 1))
+        sol = solve_qp(dead_input_qp(), warm_start=warm, options=SolverOptions(max_iters=CERTIFY_AT + 1))
         assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
 
     def test_tight_feasible_ball_is_never_infeasible(self, rng_factory):
@@ -286,14 +301,15 @@ class TestInfeasibilityCertificate:
         reach = 1.0 - margin
         sol = solve_qp(seed65_qp(rng_factory, 1.01 * reach))
         assert sol.status == SOLVED
-        assert sol.iterations > CERTIFY_AT + 1
+        assert sol.iterations > 2
         assert sol.margin == pytest.approx(0.01 * reach, rel=1e-9)
         short = solve_qp(seed65_qp(rng_factory, 0.99 * reach))
-        assert (short.status, short.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
+        assert (short.status, short.iterations) == (INFEASIBLE, 2)
         assert short.margin == pytest.approx(-0.01 * reach, rel=1e-9)
 
     def test_converged_solve_skips_certificate(self, rng_factory):
-        sol = solve_qp(seed65_qp(rng_factory, 3.0))
+        # warm, so ADMM runs and finishes before its checkpoint
+        sol = solve_qp(seed65_qp(rng_factory, 3.0), warm_start=np.zeros(4))
         assert sol.status == SOLVED
         assert 1 < sol.iterations <= CERTIFY_AT
         assert sol.margin is None
@@ -309,7 +325,8 @@ def in_box_and_balls(qp, u):
 
 
 class TestExactFinish:
-    """Cold solves unfinished at CERTIFY_AT end with the multiplier search."""
+    """Cold constrained solves end with the multiplier search after the
+    certificate, which is iteration 2."""
 
     def test_one_ball_matches_bisection_oracle(self, rng_factory):
         rng = rng_factory(13)
@@ -326,7 +343,7 @@ class TestExactFinish:
             qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, n), radius)])
             sol = solve_qp(qp)
             assert sol.status == SOLVED
-            assert sol.iterations > CERTIFY_AT + 1
+            assert sol.iterations > 2
             assert in_box_and_balls(qp, sol.u_stack)
             ref = solve_one_ball_qp_bisection(qp.H, qp.g, qp.box_lo, qp.box_hi, term.Tmap, term.tvec, radius)
             assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
@@ -357,7 +374,7 @@ class TestExactFinish:
             qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, 2), radius)])
             sol = solve_qp(qp)
             assert sol.status == SOLVED
-            if sol.iterations > CERTIFY_AT + 1:
+            if sol.iterations > 2:
                 searched += 1
                 assert in_box_and_balls(qp, sol.u_stack)
                 reached = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
@@ -371,7 +388,7 @@ class TestExactFinish:
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         sol = solve_qp(qp)
         assert sol.status == SOLVED
-        assert sol.iterations > CERTIFY_AT + 1
+        assert sol.iterations > 2
         assert in_box_and_balls(qp, sol.u_stack)
         term = qp.terminal[0]
         norm = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
@@ -387,7 +404,7 @@ class TestExactFinish:
         qp = build_condensed(*args, terminal_balls=[(slice(0, 2), radius)])
         sol = solve_qp(qp)
         assert sol.status == SOLVED
-        assert sol.iterations > CERTIFY_AT + 1
+        assert sol.iterations > 2
         assert in_box_and_balls(qp, sol.u_stack)
         assert np.all(sol.u_stack[1::2] == 0.3)
         term = qp.terminal[0]
@@ -398,12 +415,12 @@ class TestExactFinish:
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         full = solve_qp(qp)
-        calls = full.iterations - (CERTIFY_AT + 1)
+        calls = full.iterations - 2
         assert full.status == SOLVED and calls >= 2
         exact = solve_qp(qp, options=SolverOptions(max_iters=full.iterations))
         assert (exact.status, exact.iterations) == (SOLVED, full.iterations)
         assert np.array_equal(exact.u_stack, full.u_stack)
-        for budget in (CERTIFY_AT + 1, full.iterations - 1):
+        for budget in (2, full.iterations - 1):
             short = solve_qp(qp, options=SolverOptions(max_iters=budget))
             assert (short.status, short.iterations) == (MAX_ITERS, budget)
             assert short.margin == full.margin
@@ -412,7 +429,7 @@ class TestExactFinish:
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         cold = solve_qp(qp)
-        assert cold.iterations > CERTIFY_AT + 1
+        assert cold.iterations > 2
         warm = solve_qp(qp, warm_start=cold)
         assert warm.status == SOLVED
         assert warm.iterations <= 3
@@ -430,9 +447,9 @@ class TestExactFinish:
             qps += [flagship.agent_operators(i).ops.condense(xbar[s]) for i, s in enumerate(flagship.group_slices())]
             for qp in qps:
                 sol = solve_qp(qp)
-                if sol.status == SOLVED and sol.iterations > CERTIFY_AT + 1:
+                if sol.status == SOLVED and sol.iterations > 2:
                     assert in_box_and_balls(qp, sol.u_stack)
-                    calls.append(sol.iterations - (CERTIFY_AT + 1))
+                    calls.append(sol.iterations - 2)
         assert len(calls) >= 40
         assert np.median(calls) <= 7 and max(calls) <= 12
 
@@ -444,7 +461,7 @@ class TestExactFinish:
         qp = flagship.centralized_operators().condense(xbar)
         sol = solve_qp(qp)
         assert sol.status == SOLVED
-        assert sol.iterations > CERTIFY_AT + 1
+        assert sol.iterations > 2
         assert in_box_and_balls(qp, sol.u_stack)
         noiter, _ = solve_noiter_all(flagship, xbar)
         assert sol.objective <= qp.objective(noiter.stacked())
@@ -473,3 +490,102 @@ class TestExactFinish:
             Hl = qp.H + sum(2.0 * lb * b.Tmap.T @ b.Tmap for b, lb in zip(qp.terminal, lam))
             gl = qp.g + sum(2.0 * lb * b.Tmap.T @ b.tvec for b, lb in zip(qp.terminal, lam))
             assert np.max(np.abs(u - solve_box_qp_active_set(Hl, gl, qp.box_lo, qp.box_hi))) <= 1e-7
+
+    def test_stalled_search_hands_over_to_admm(self, rng_factory, monkeypatch):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
+        # a search that stalls after 3 box QPs
+        monkeypatch.setattr("coopmpc.qp._multiplier_search", lambda qp, budget, tol: (None, np.zeros(1), 3))
+        sol = solve_qp(qp)
+        assert sol.status == SOLVED and sol.iterations > 2 + 3
+        assert sol.margin == pytest.approx(0.01 * (1.0 - margin), rel=1e-9)
+        term = qp.terminal[0]
+        assert np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec) <= term.radius + BALL_FEAS_TOL
+        short = solve_qp(qp, options=SolverOptions(max_iters=2 + 3))
+        assert (short.status, short.iterations) == (MAX_ITERS, 2 + 3)
+
+    def test_balls_with_no_common_point_end_without_error(self, rng_factory):
+        # Three balls on shared state rows, each reachable on its own with
+        # little room, often have no common point; the certificate checks
+        # each alone, so the search drives lam up until H is lost in
+        # rounding.  It must stop there, not overflow lam or the factor.
+        rng = rng_factory(7)
+        statuses = set()
+        for _ in range(20):
+            n, N = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            qp, (A, B, Q, P, R, x0) = random_condensed(rng, n=n, N=N, x0_scale=rng.uniform(1.0, 8.0), lo=-1.0, hi=1.0)
+            rows = [np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(3)]
+            probe = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(idx, 1.0) for idx in rows])
+            radii = [1.0 - margin + rng.uniform(0.0, 0.2) for margin, _ in ball_margins(probe)]
+            qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=list(zip(rows, radii)))
+            sol = solve_qp(qp, options=SolverOptions(max_iters=2000))
+            statuses.add(sol.status)
+            if sol.status == SOLVED:
+                assert in_box_and_balls(qp, sol.u_stack)
+        assert statuses == {SOLVED, MAX_ITERS}
+
+
+def random_box_qp(rng, n, fixed=0.0):
+    """A dense strictly convex box QP whose box cuts off its free minimizer,
+    with a share `fixed` of the inputs pinned (lo == hi)."""
+    G = rng.normal(size=(n, n))
+    H = G @ G.T + 0.1 * np.eye(n)
+    c = 5.0 * rng.normal(size=n)
+    lo, hi = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+    pin = rng.random(n) < fixed
+    lo[pin] = hi[pin] = rng.uniform(-1.0, 1.0, pin.sum())
+    return H, c, lo, hi, np.asfortranarray(cholesky(H, lower=True))
+
+
+class TestBoxQp:
+    """The primal active set the multiplier search solves its box QPs with."""
+
+    def test_matches_enumeration_oracle(self, rng_factory):
+        rng = rng_factory(31)
+        for _ in range(40):
+            H, c, lo, hi, L = random_box_qp(rng, int(rng.integers(1, 9)))
+            u, _ = _box_qp(H, c, lo, hi, L)
+            assert np.max(np.abs(u - solve_box_qp_active_set(H, c, lo, hi))) <= 1e-9
+
+    def test_no_worse_than_bvls_and_kkt(self, rng_factory):
+        rng = rng_factory(32)
+        for _ in range(40):
+            H, c, lo, hi, L = random_box_qp(rng, int(rng.integers(8, 25)), fixed=0.2)
+            u, free = _box_qp(H, c, lo, hi, L)
+            ref, _ = _bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi)
+            f, f_ref = (0.5 * x @ H @ x + c @ x for x in (u, ref))
+            assert f <= f_ref + 1e-12 * abs(f_ref)
+            assert np.all(lo <= u) and np.all(u <= hi)
+            pinned = lo == hi
+            assert np.array_equal(u[pinned], lo[pinned]) and not np.any(free[pinned])
+            grad = H @ u + c
+            tol = 1e-9 * (np.abs(H) @ np.abs(u) + np.abs(c))
+            assert np.all(np.abs(grad[free]) <= tol[free])
+            clamped = ~free & ~pinned
+            assert np.all(np.isin(u[clamped], (lo[clamped], hi[clamped]))) and clamped.any()
+            at_lo = clamped & (u == lo)
+            assert np.all(grad[at_lo] >= -tol[at_lo]) and np.all(grad[clamped & ~at_lo] <= tol[clamped & ~at_lo])
+
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            # a step solve that always aims out of the box, so the active set cycles
+            lambda a, b, lower: (None, np.full(len(b), 1e9), 0),
+            # a step solve whose factor fails, with a target that is no minimizer
+            lambda a, b, lower: (None, np.zeros(len(b)), 1),
+        ],
+        ids=["cycle", "failed-factor"],
+    )
+    def test_guard_falls_back_to_bvls(self, rng_factory, monkeypatch, fake):
+        H, c, lo, hi, L = random_box_qp(rng_factory(33), 6)
+        calls = []
+
+        def bvls(*args):
+            calls.append(args)
+            return _bvls(*args)
+
+        monkeypatch.setattr("coopmpc.qp.dposv", fake)
+        monkeypatch.setattr("coopmpc.qp._bvls", bvls)
+        u, _ = _box_qp(H, c, lo, hi, L)
+        assert len(calls) == 1
+        assert np.max(np.abs(u - solve_box_qp_active_set(H, c, lo, hi))) <= 1e-9
