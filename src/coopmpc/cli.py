@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import build_problem, initial_state, load_config
+from .config import build_problem, check_count, initial_state, load_config
 from .controllers import StrategyConfig
 from .errors import (
     ConfigError,
@@ -45,7 +45,7 @@ def _strategy_from_args(args, cfg):
     kind = args.strategy or cfg.sim.strategy
     iters = args.iters if args.iters is not None else cfg.sim.iters
     if kind == "coop":
-        return StrategyConfig(kind="coop", iters=max(1, iters))
+        return StrategyConfig(kind="coop", iters=iters)
     return StrategyConfig(kind=kind)
 
 
@@ -156,6 +156,8 @@ def cmd_simulate(args, cfg):
     trace = run_closed_loop(problem, xbar0, strategy, steps, meta=meta)
     if trace.meta.get("aborted"):
         raise SolverFailure("closed loop aborted after repeated solver failures")
+    if not trace.steps:
+        raise SolverFailure("closed loop solved none of its %d steps" % steps)
     trace_path = _write(args.out_dir, "trace.csv", trace_to_csv(trace))
     timing_path = _write(args.out_dir, "timing_summary.csv", timing_summary_csv(timing_summary(trace)))
     final = trace.steps[-1]
@@ -173,7 +175,7 @@ def cmd_compare(args, cfg):
     _check_certified(problem, args)
     xbar0 = initial_state(cfg, problem, seed=args.seed)
     sweep_max = args.iters if args.iters is not None else cfg.sim.iters
-    counts = tuple(range(1, max(1, sweep_max) + 1))
+    counts = tuple(range(1, sweep_max + 1))
     rows, state = compare_strategies(
         problem, xbar0, iter_counts=counts, warmup_steps=cfg.sim.warmup_steps
     )
@@ -241,6 +243,9 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("steps", "iters", "draws"):
+            if getattr(args, flag, None) is not None:
+                check_count("--" + flag, getattr(args, flag), 1)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

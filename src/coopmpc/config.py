@@ -25,7 +25,6 @@ class SubsystemsConfig:
     dims: list
     A: list
     B: list
-    C: list = None
 
 
 @dataclass
@@ -59,7 +58,6 @@ class SimConfig:
 @dataclass
 class SolverConfig:
     eps_abs: float = 1e-8
-    eps_rel: float = 1e-6
     max_iters: int = 50000
 
 
@@ -84,8 +82,6 @@ class ProblemConfig:
     def to_dict(self):
         out = asdict(self)
         # Drop optional fields left at None so the round trip is stable.
-        if out["subsystems"]["C"] is None:
-            del out["subsystems"]["C"]
         if out["cost"]["Q"] is None:
             del out["cost"]["Q"]
         if out["cost"]["Qblocks"] is None:
@@ -111,6 +107,11 @@ def _expect(cond, message):
         raise ConfigError(message)
 
 
+def check_count(name, value, least):
+    """Raise ConfigError unless the count `name` is at least `least`."""
+    _expect(value >= least, "%s: must be an integer >= %d" % (name, least))
+
+
 def config_from_dict(doc):
     _expect(isinstance(doc, dict), "top level: expected an object")
     sub_doc = _require(doc, "subsystems", "top level")
@@ -127,7 +128,7 @@ def config_from_dict(doc):
             isinstance(table, list) and len(table) == M and all(len(r) == M for r in table),
             "subsystems.%s: expected an %dx%d table of blocks" % (name, M, M),
         )
-    sub = SubsystemsConfig(dims=dims, A=A, B=B, C=sub_doc.get("C"))
+    sub = SubsystemsConfig(dims=dims, A=A, B=B)
 
     cost_doc = _require(doc, "cost", "top level")
     cost = CostConfig(
@@ -169,12 +170,10 @@ def config_from_dict(doc):
     solver_doc = doc.get("solver", {})
     solver = SolverConfig(
         eps_abs=float(solver_doc.get("eps_abs", 1e-8)),
-        eps_rel=float(solver_doc.get("eps_rel", 1e-6)),
         max_iters=int(solver_doc.get("max_iters", 50000)),
     )
     _expect(solver.max_iters >= 1, "solver.max_iters: must be an integer >= 1")
     _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
-    _expect(solver.eps_rel >= 0, "solver.eps_rel: must be nonnegative")
 
     sim_doc = doc.get("sim", {})
     sim = SimConfig(
@@ -188,6 +187,9 @@ def config_from_dict(doc):
         draws=int(sim_doc.get("draws", 200)),
     )
     _expect(sim.strategy in ("centralized", "noiter", "coop"), "sim.strategy: unknown strategy")
+    for key in ("steps", "iters", "draws"):
+        check_count("sim." + key, getattr(sim, key), 1)
+    check_count("sim.warmup_steps", sim.warmup_steps, 0)
 
     return ProblemConfig(
         subsystems=sub,
@@ -300,7 +302,6 @@ def build_problem(cfg):
     )
     solver = SolverOptions(
         eps_abs=cfg.solver.eps_abs,
-        eps_rel=cfg.solver.eps_rel,
         max_iters=cfg.solver.max_iters,
     )
     return Problem(

@@ -17,6 +17,7 @@ between iterations.
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,35 +59,40 @@ class StrategyConfig:
         return self.kind
 
 
-@dataclass(eq=False)
+def _agent_columns(m):
+    """Slice of each agent's inputs in a stage of the stacked input."""
+    return [slice(end - mi, end) for mi, end in zip(m, accumulate(m))]
+
+
+@dataclass(eq=False, slots=True)
 class InputSequenceSet:
-    """Per-agent input sequences over the horizon, each of shape (m_i, N)."""
+    """The input sequences of all agents over the horizon.
 
-    u: tuple
+    `stage` is the (N, sum(m)) stage-major array: row k holds u(k), agent by
+    agent, the layout of the condensed QP's stacked input.  `m` lists each
+    agent's input count.
+    """
 
-    def __post_init__(self):
-        self.u = tuple(np.asarray(ui, dtype=float) for ui in self.u)
+    stage: np.ndarray
+    m: tuple
 
     @property
     def N(self):
-        return self.u[0].shape[1]
+        return self.stage.shape[0]
 
-    def copy(self):
-        return InputSequenceSet(u=tuple(ui.copy() for ui in self.u))
+    @property
+    def u(self):
+        """Agent i's (m_i, N) sequence as u[i], a view of its columns."""
+        return tuple(self.stage[:, cols].T for cols in _agent_columns(self.m))
 
     def stacked(self):
-        """Stage-major stacked vector [u(0); u(1); ...]."""
-        return np.concatenate([np.concatenate([ui[:, k] for ui in self.u]) for k in range(self.N)])
+        """Stage-major stacked vector [u(0); u(1); ...], a view of `stage`."""
+        return self.stage.reshape(-1)
 
     @classmethod
     def from_stacked(cls, vec, m, N):
-        vec = np.asarray(vec, dtype=float).reshape(N, int(np.sum(m)))
-        seqs = []
-        off = 0
-        for mi in m:
-            seqs.append(vec[:, off : off + mi].T.copy())
-            off += mi
-        return cls(u=tuple(seqs))
+        """The set whose stacked vector is `vec`, sharing its memory."""
+        return cls(np.asarray(vec, dtype=float).reshape(N, sum(m)), tuple(m))
 
 
 @dataclass
@@ -103,8 +109,8 @@ class SolveInfo:
     label: str = ""
 
 
-def _solved(qp, warm, options, context):
-    sol = solve_qp(qp, warm_start=warm, options=options)
+def _solved(qp, options, context):
+    sol = solve_qp(qp, options=options)
     if sol.status != SOLVED:
         margin = "n/a" if sol.margin is None else "%.4g" % sol.margin
         raise SolverFailure(
@@ -115,7 +121,7 @@ def _solved(qp, warm, options, context):
     return sol
 
 
-def solve_centralized(problem, xbar0, warm=None):
+def solve_centralized(problem, xbar0):
     """Joint solve over all agents with the product-of-balls terminal set.
 
     Returns (InputSequenceSet, SolveInfo).
@@ -125,14 +131,13 @@ def solve_centralized(problem, xbar0, warm=None):
         raise DimensionMismatch("state must have length %d" % problem.n)
     t0 = time.perf_counter()
     qp = problem.centralized_operators().condense(xbar0)
-    warm_vec = warm.stacked() if isinstance(warm, InputSequenceSet) else warm
-    sol = _solved(qp, warm_vec, problem.solver, "centralized solve")
+    sol = _solved(qp, problem.solver, "centralized solve")
     millis = 1e3 * (time.perf_counter() - t0)
     seqs = InputSequenceSet.from_stacked(sol.u_stack, problem.m, problem.N)
     return seqs, SolveInfo(millis=millis, iterations=sol.iterations, label="centralized")
 
 
-def solve_local_noiter(problem, i, x_i0, warm=None):
+def solve_local_noiter(problem, i, x_i0):
     """Agent-i solve using only its own block data; no coupling terms.
 
     Returns (u_i of shape (m_i, N), SolveInfo).  The result depends only
@@ -141,10 +146,9 @@ def solve_local_noiter(problem, i, x_i0, warm=None):
     x_i0 = np.asarray(x_i0, dtype=float).reshape(-1)
     t0 = time.perf_counter()
     qp = problem.agent_operators(i).ops.condense(x_i0)
-    warm_vec = warm.reshape(-1, order="F") if isinstance(warm, np.ndarray) else warm
-    sol = _solved(qp, warm_vec, problem.solver, "local solve of agent %d" % i)
+    sol = _solved(qp, problem.solver, "local solve of agent %d" % i)
     millis = 1e3 * (time.perf_counter() - t0)
-    u_i = sol.u_stack.reshape(problem.N, problem.m[i]).T.copy()
+    u_i = sol.u_stack.reshape(problem.N, problem.m[i]).T
     return u_i, SolveInfo(millis=millis, iterations=sol.iterations, label="noiter")
 
 
@@ -154,8 +158,9 @@ def _decisiveness(failure):
     return (failure.status != INFEASIBLE, np.inf if margin is None else margin)
 
 
-def solve_noiter_all(problem, xbar0, warm=None):
-    """All local solves; time accounted as the slowest agent.
+def solve_noiter_all(problem, xbar0):
+    """All local solves, each from the agent's own state alone; time
+    accounted as the slowest agent.
 
     Every agent is solved even when one fails, so the verdict does not
     depend on agent order: the SolverFailure raised is the most decisive
@@ -164,24 +169,24 @@ def solve_noiter_all(problem, xbar0, warm=None):
     """
     xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
     slices = problem.group_slices()
-    seqs = []
+    m = problem.m
+    stage = np.empty((problem.N, sum(m)))
     per_agent = []
     iters = 0
     failures = []
-    for i in range(problem.M):
-        w_i = warm.u[i] if isinstance(warm, InputSequenceSet) else None
+    for i, cols in enumerate(_agent_columns(m)):
         try:
-            u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]], warm=w_i)
+            u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]])
         except SolverFailure as exc:
             failures.append(exc)
             continue
-        seqs.append(u_i)
+        stage[:, cols] = u_i.T
         per_agent.append(info.millis)
         iters += info.iterations
     if failures:
         raise min(failures, key=_decisiveness)
     return (
-        InputSequenceSet(u=tuple(seqs)),
+        InputSequenceSet(stage, m),
         SolveInfo(millis=max(per_agent), iterations=iters, label="noiter"),
     )
 
@@ -208,6 +213,10 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     if len(weights) != M:
         raise DimensionMismatch("need one averaging weight per agent")
     slices = problem.group_slices()
+    m = problem.m
+    columns = _agent_columns(m)
+    # Each input's averaging weight: agent i's weight on its own columns.
+    column_weights = np.repeat(weights, m)
     per_agent = np.zeros(M)
     iters = 0
     if previous is None:
@@ -215,32 +224,26 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
         per_agent[:] = info0.millis
         iters = info0.iterations
     else:
-        iterate = previous.copy()
+        iterate = previous
     history = []
-    agent_warm = [iterate.u[i].T.reshape(-1).copy() for i in range(M)]
     for _ in range(cfg.iters):
         u = iterate.stacked()
-        candidates = []
-        for i in range(M):
+        candidates = np.empty_like(iterate.stage)
+        for i, cols in enumerate(columns):
             t0 = time.perf_counter()
             agent = problem.agent_operators(i)
             qp = agent.ops.condense(xbar0[slices[i]])
             qp.g = agent.Gx @ xbar0 + agent.Hc @ u
-            sol = _solved(
-                qp, agent_warm[i], problem.solver, "cooperative solve of agent %d" % i
-            )
+            sol = _solved(qp, problem.solver, "cooperative solve of agent %d" % i)
             per_agent[i] += 1e3 * (time.perf_counter() - t0)
             iters += sol.iterations
-            agent_warm[i] = sol
-            candidates.append(sol.u_stack.reshape(problem.N, problem.m[i]).T)
+            candidates[:, cols] = sol.u_stack.reshape(problem.N, m[i])
+        # A new array each iteration, so the history needs no copies.
         iterate = InputSequenceSet(
-            u=tuple(
-                weights[i] * candidates[i] + (1.0 - weights[i]) * iterate.u[i]
-                for i in range(M)
-            )
+            column_weights * candidates + (1.0 - column_weights) * iterate.stage, m
         )
         if keep_history:
-            history.append(iterate.copy())
+            history.append(iterate)
     info = SolveInfo(millis=float(np.max(per_agent)), iterations=iters, label=cfg.label())
     if keep_history:
         return iterate, info, history
@@ -248,21 +251,24 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
 
 
 def solve_strategy(problem, xbar0, cfg, previous=None):
-    """Dispatch one sampling-instant solve for a StrategyConfig."""
+    """Dispatch one sampling-instant solve for a StrategyConfig.
+
+    `previous` is the cooperative strategy's starting iterate; the
+    centralized and no-iteration solves depend on the state alone.
+    """
     if cfg.kind == "centralized":
-        return solve_centralized(problem, xbar0, warm=previous)
+        return solve_centralized(problem, xbar0)
     if cfg.kind == "noiter":
-        return solve_noiter_all(problem, xbar0, warm=previous)
+        return solve_noiter_all(problem, xbar0)
     return solve_cooperative(problem, xbar0, cfg, previous=previous)
 
 
 def shift_sequences(problem, xbar0, seqs):
-    """Warm start for the next instant: drop the first move, append the
-    terminal controller action at the predicted terminal state."""
+    """The cooperative starting iterate of the next instant: drop the first
+    move, append the terminal controller action at the predicted terminal
+    state."""
     traj = problem.simulate(xbar0, seqs)
-    slices = problem.group_slices()
-    shifted = []
-    for i in range(problem.M):
-        tail = problem.ingredients.K[i] @ traj[problem.N, slices[i]]
-        shifted.append(np.column_stack([seqs.u[i][:, 1:], tail.reshape(-1)]))
-    return InputSequenceSet(u=tuple(shifted))
+    tail = np.concatenate(
+        [K @ traj[problem.N, s] for K, s in zip(problem.ingredients.K, problem.group_slices())]
+    )
+    return InputSequenceSet(np.vstack([seqs.stage[1:], tail]), seqs.m)

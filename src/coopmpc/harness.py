@@ -33,7 +33,7 @@ def evaluate_cost(problem, xbar0, seqs):
     """
     tc = problem.tcost
     traj = problem.simulate(xbar0, seqs)
-    u_stack = seqs.stacked().reshape(problem.N, -1)
+    u_stack = seqs.stage
     gc = 0.0
     cc = 0.0
     for k in range(problem.N):
@@ -76,10 +76,11 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
     """Simulate the receding-horizon loop for `steps` sampling instants.
 
     `strategy` is a StrategyConfig or a schedule [(start_step, cfg), ...]
-    switching strategies mid-run.  Warm starts follow the shifted-sequence
-    protocol: the applied sequence, shifted one stage with the terminal
-    controller move appended.  With `reference`, the reference strategy is
-    also solved at every visited state and its costs logged alongside.
+    switching strategies mid-run.  The cooperative strategy starts from the
+    shifted-sequence plan: the applied sequence, shifted one stage with the
+    terminal controller move appended.  With `reference`, the reference
+    strategy is also solved at every visited state and its costs logged
+    alongside.
 
     Solver failures are logged; the run aborts after three consecutive
     ones and the truncated trace is returned with meta["aborted"] set.
@@ -89,8 +90,8 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
     trace = ClosedLoopTrace(steps=[], meta=dict(meta or {}))
     trace.meta.setdefault("strategy", " / ".join(cfg.label() for _, cfg in schedule))
-    warm = None
-    ref_warm = None
+    previous = None
+    ref_previous = None
     failures = 0
     failure_log = []
     for t in range(steps):
@@ -99,7 +100,7 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
             if t >= start:
                 cfg = candidate
         try:
-            seqs, info = solve_strategy(problem, xbar, cfg, previous=warm)
+            seqs, info = solve_strategy(problem, xbar, cfg, previous=previous)
         except SolverFailure as exc:
             failures += 1
             failure_log.append({"t": t, "error": str(exc)})
@@ -107,7 +108,7 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
                 trace.meta["aborted"] = True
                 trace.meta["failures"] = failure_log
                 return trace
-            warm = None
+            previous = None
             continue
         failures = 0
         gc, cc = evaluate_cost(problem, xbar, seqs)
@@ -122,10 +123,10 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
             strategy=cfg.label(),
         )
         if reference is not None:
-            ref_seqs, _ = solve_strategy(problem, xbar, reference, previous=ref_warm)
+            ref_seqs, _ = solve_strategy(problem, xbar, reference, previous=ref_previous)
             rec.gc_ref, rec.cc_ref = evaluate_cost(problem, xbar, ref_seqs)
-            ref_warm = shift_sequences(problem, xbar, ref_seqs)
-        warm = shift_sequences(problem, xbar, seqs)
+            ref_previous = shift_sequences(problem, xbar, ref_seqs)
+        previous = shift_sequences(problem, xbar, seqs)
         xbar = problem.step(xbar, rec.u0)
         trace.steps.append(rec)
     if failure_log:
@@ -217,21 +218,21 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
     relative to the centralized row.
     """
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
-    warm = None
+    previous = None
     noiter_cfg = StrategyConfig(kind="noiter")
     for _ in range(warmup_steps):
-        seqs, _ = solve_strategy(problem, xbar, noiter_cfg, previous=warm)
-        warm = shift_sequences(problem, xbar, seqs)
+        seqs, _ = solve_strategy(problem, xbar, noiter_cfg)
+        previous = shift_sequences(problem, xbar, seqs)
         xbar = problem.step(xbar, tuple(ui[:, 0] for ui in seqs.u))
     rows = []
-    cen_seqs, _ = solve_centralized(problem, xbar, warm=warm)
+    cen_seqs, _ = solve_centralized(problem, xbar)
     cen_gc, cen_cc = evaluate_cost(problem, xbar, cen_seqs)
     rows.append(ComparisonRow("centralized", cen_gc, 0.0, cen_cc, 0.0))
     if iter_counts:
         p_max = max(iter_counts)
         coop_cfg = StrategyConfig(kind="coop", iters=p_max)
         _, _, history = solve_cooperative(
-            problem, xbar, coop_cfg, previous=warm, keep_history=True
+            problem, xbar, coop_cfg, previous=previous, keep_history=True
         )
         for p in sorted(iter_counts, reverse=True):
             gc, cc = evaluate_cost(problem, xbar, history[p - 1])

@@ -1,6 +1,7 @@
 """Assembled problem bundle shared by the controllers and the harness."""
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -64,8 +65,9 @@ class Problem:
     def M(self):
         return len(self.tplant.Abar)
 
-    @property
+    @cached_property
     def m(self):
+        """Input count of each agent; one tuple, shared by the sequence sets."""
         return tuple(Bt.shape[1] for Bt in self.tplant.Btilde)
 
     @property
@@ -152,8 +154,8 @@ class Problem:
         """Full-state trajectory under an InputSequenceSet."""
         xbar0 = np.asarray(xbar0, dtype=float)
         traj = np.empty((self.N + 1, self.n))
-        for i, s in enumerate(self.group_slices()):
-            traj[:, s] = self.simulate_group(i, xbar0[s], seqs.u[i])
+        for i, (s, u_i) in enumerate(zip(self.group_slices(), seqs.u)):
+            traj[:, s] = self.simulate_group(i, xbar0[s], u_i)
         return traj
 
     def separable(self):

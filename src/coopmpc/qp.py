@@ -1,4 +1,4 @@
-"""Condensed finite-horizon QP, solved exactly where it can be and by ADMM otherwise.
+"""Condensed finite-horizon QP, solved exactly.
 
 The horizon problem is condensed into the stacked input vector: states are
 eliminated through the prediction operators, leaving
@@ -13,80 +13,57 @@ strictly convex.
 Only g, const and tvec depend on the initial state; H, the prediction
 operators, the ball maps and the box do not (the parametric view of the
 horizon problem).  `HorizonOperators` builds that state-independent part
-once, and its `condense(x0)` returns a CondensedQp in a few mat-vecs.
-The operator arrays are read-only and shared by every CondensedQp
-condensed from them.  `build_condensed` is the one-shot form.
+once, with the Cholesky factor of H, and its `condense(x0)` returns a
+CondensedQp in a few mat-vecs.  The operator arrays are read-only and
+shared by every CondensedQp condensed from them.  `build_condensed` is the
+one-shot form.
 
-The solver first tries the unconstrained minimizer u = -H^-1 g, from the
-Cholesky factor of H that the operators keep.  If u lies in the box and in
-every ball, with no tolerance (not even the 1e-8 ball slack ADMM allows),
-it is the optimum: the problem is strictly convex and u satisfies the KKT
-conditions with every multiplier zero.  That certificate is exact, so such
-a solve returns u with zero residuals and runs no splitting iteration.  In
+Every solve takes the same path.  It first tries the unconstrained
+minimizer u = -H^-1 g from the cached factor.  If u lies in the box and in
+every ball, with no tolerance, it is the optimum: the problem is strictly
+convex and u satisfies the KKT conditions with every multiplier zero.  In
 the explicit-MPC picture (Bemporad, Morari, Dua & Pistikopoulos,
 Automatica 2002) these are the states of the critical region whose active
 set is empty; near the origin of a regulated loop they are the common case.
 
-The box (lo <= hi) is never empty, so only the balls can make the
-problem infeasible.  A cold solve (no warm start) whose unconstrained
-minimizer is infeasible next checks each ball once (`ball_margins`): BVLS
-(Stark & Parker, Computational Statistics 1995) gives the least terminal
-norm ||Tmap u + tvec|| reachable over the box, and the hyperplane through
-that point gives a lower bound on the norm that holds whatever BVLS
-returned.  When the bound exceeds a ball's radius by more than
-BALL_FEAS_TOL, no input in the box reaches the ball and the solve stops as
-INFEASIBLE.  Up to that tolerance the check is exact for every QP the
-strategies build: each of their balls acts on a different agent's inputs,
-so the QP is feasible exactly when every ball is reachable on its own.
-With balls that share inputs it is still a proof when it fires, but an
-infeasible QP may then run to the iteration cap.
+The box (lo <= hi) is never empty, so only the balls can make the problem
+infeasible.  A solve whose unconstrained minimizer is infeasible next
+checks each ball once (`ball_margins`): BVLS (Stark & Parker,
+Computational Statistics 1995) gives the least terminal norm
+||Tmap u + tvec|| reachable over the box, and the hyperplane through that
+point gives a lower bound on the norm that holds whatever BVLS returned.
+When the bound exceeds a ball's radius by more than BALL_FEAS_TOL, no
+input in the box reaches the ball and the solve stops as INFEASIBLE.  Up
+to that tolerance the check is exact for every QP the strategies build:
+each of their balls acts on a different agent's inputs, so the QP is
+feasible exactly when every ball is reachable on its own.  With balls that
+share inputs it is still a proof when it fires, but an infeasible QP then
+ends as MAX_ITERS.
 
-When every ball is reached with room to spare (or there is no ball), the
-cold solve finishes exactly with a search over the ball multipliers
-(`_multiplier_search`).  For fixed multipliers the Lagrangian over the box
-is a strictly convex box QP, which a primal active set on its Cholesky
-factor solves exactly (`_box_qp`), and Newton's method on the secular
-equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983)
-finds the multipliers: a median of 5 box QPs, at most 11, on the
-flagship's Monte Carlo draws.  The point it returns lies in the box and in
-every ball with no slack.
-
-Every other solve runs a scaled ADMM with one splitting variable per
-constraint set (the box over the stacked input and one Euclidean ball per
-terminal set), stacked as v = M u + c with M = [I; Tmap_1; Tmap_2; ...]
-taken from the operators: warm restarts, which ADMM usually finishes
-within a few dozen of its cheap iterations, solves whose H is only
-semidefinite, cold solves whose least margin is not positive without a
-proof of infeasibility, and cold solves whose search stalls.  The penalty
-is initialized from the diagonal of H, residual balancing runs every
-BALANCE_EVERY iterations, and the iterate is over-relaxed by OVER_RELAX.
-An ADMM solve that has not converged after CERTIFY_AT iterations and has
-not yet checked its balls checks them then, with the same verdict.
+Otherwise the solve finishes exactly with a search over the ball
+multipliers (`_multiplier_search`).  For fixed multipliers the Lagrangian
+over the box is a strictly convex box QP, which a primal active set on its
+Cholesky factor solves exactly (`_box_qp`), and Newton's method on the
+secular equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat.
+Comput. 1983) finds the multipliers: a median of 5 box QPs, at most 11, on
+the flagship's Monte Carlo draws.  The point it returns lies in the box
+and in every ball with no slack.
 """
 
 from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPD
 
 SOLVED = "solved"
 MAX_ITERS = "max_iters"
 INFEASIBLE = "infeasible"
 
 BALL_FEAS_TOL = 1e-8
-OVER_RELAX = 1.6
-# Every BALANCE_EVERY iterations the penalty is scaled by BALANCE_FACTOR
-# when one residual exceeds the other by more than BALANCE_RATIO.
-BALANCE_EVERY = 50
-BALANCE_RATIO = 10.0
-BALANCE_FACTOR = 2.0
-# ADMM iteration at which an unconverged solve that has not checked its
-# balls yet (a warm or semidefinite one) certifies them.
-CERTIFY_AT = 4 * BALANCE_EVERY
 
 
 @dataclass(eq=False)
@@ -141,11 +118,9 @@ class HorizonOperators:
     the meaning given in `build_condensed`.  Holds H, Phi, Gamma, the box,
     g_x with g = g_x x0, the map that gives const from x0, and for each
     terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.
-    M stacks the identity over every Tmap; Mt is its transpose and
-    MtM = M^T M.  `segments` lists the (start, stop) rows of each ball in
-    M.  H_chol is the lower Cholesky factor of H (Fortran order, for
-    dpotrs), or None when H is only semidefinite.  Every array is
-    read-only.
+    H_chol is the lower Cholesky factor of H (Fortran order, for dpotrs).
+    Every array is read-only.  Raises NotPD when H has no Cholesky factor,
+    which a positive definite R rules out.
     """
 
     def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
@@ -189,9 +164,9 @@ class HorizonOperators:
         self.H = _frozen(0.5 * (H + H.T))
         try:
             self.H_chol = np.asfortranarray(cholesky(self.H, lower=True))
-            self.H_chol.setflags(write=False)
-        except LinAlgError:
-            self.H_chol = None
+        except LinAlgError as exc:
+            raise NotPD("the condensed Hessian H has no Cholesky factor") from exc
+        self.H_chol.setflags(write=False)
         self.Phi = _frozen(Phi)
         self.Gamma = _frozen(Gamma)
         self.box_lo = _frozen(np.tile(u_lo, N))
@@ -201,25 +176,16 @@ class HorizonOperators:
         c_x = Q + Phi.T @ Qbig @ Phi
         self._c_x = _frozen(0.5 * (c_x + c_x.T))
 
-        self.nu = nu = N * m
+        # (Tmap, radius, the part of tvec_x x0 that is the ball's tvec)
         self.balls = []
         rows = []
-        self.segments = []
-        start = nu
+        start = 0
         for idx, radius in terminal_balls or ():
             idx = np.arange(n)[idx] if isinstance(idx, slice) else np.asarray(idx, dtype=int)
             rows.append((N - 1) * n + idx)
-            self.balls.append((_frozen(Gamma[rows[-1], :]), float(radius)))
-            self.segments.append((start, start + len(idx)))
+            self.balls.append((_frozen(Gamma[rows[-1], :]), float(radius), slice(start, start + len(idx))))
             start += len(idx)
         self._tvec_x = _frozen(Phi[np.concatenate(rows), :] if rows else np.zeros((0, n)))
-        Tmaps = [Tmap for Tmap, _ in self.balls]
-        MtM = np.eye(nu)
-        for Tmap in Tmaps:
-            MtM += Tmap.T @ Tmap
-        self.M = _frozen(np.vstack([np.eye(nu)] + Tmaps))
-        self.Mt = _frozen(self.M.T)
-        self.MtM = _frozen(MtM)
 
     def condense(self, x0):
         """The CondensedQp at initial state x0."""
@@ -230,11 +196,7 @@ class HorizonOperators:
         g = self.g_x @ x0
         const = float(x0 @ self._c_x @ x0)
         tvec = self._tvec_x @ x0
-        nu = self.nu
-        terminal = [
-            TerminalBall(Tmap=Tmap, tvec=tvec[a - nu : b - nu], radius=r)
-            for (Tmap, r), (a, b) in zip(self.balls, self.segments)
-        ]
+        terminal = [TerminalBall(Tmap=Tmap, tvec=tvec[part], radius=r) for Tmap, r, part in self.balls]
         return CondensedQp(
             H=self.H,
             g=g,
@@ -278,14 +240,23 @@ def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None):
 
 @dataclass
 class SolverOptions:
+    """eps_abs bounds how far inside its radius the multiplier search may
+    leave a binding ball; max_iters caps the iterations of one solve."""
+
     eps_abs: float = 1e-8
-    eps_rel: float = 1e-6
     max_iters: int = 50_000
 
 
 @dataclass(eq=False)
 class QpSolution:
-    """Result of a solve; also usable as a warm start for a related solve."""
+    """Result of a solve.
+
+    A SOLVED point lies in the box and in every ball with no slack, so
+    primal_res is 0; dual_res is the largest Lagrangian gradient over the
+    inputs strictly inside the box.  Both are inf on an INFEASIBLE or
+    MAX_ITERS result, whose u_stack is the unconstrained minimizer clipped
+    onto the box.
+    """
 
     u_stack: np.ndarray
     objective: float
@@ -293,12 +264,8 @@ class QpSolution:
     primal_res: float
     dual_res: float
     status: str
-    w: np.ndarray = field(default=None, repr=False)
-    y: np.ndarray = field(default=None, repr=False)
-    rho: float = field(default=None, repr=False)
     # Least ball margin of `ball_margins`, set by every solve that checked
-    # its balls: a cold solve past step zero (also when the multiplier
-    # search then solved it), or an ADMM solve at CERTIFY_AT.  None when
+    # its balls, also when the multiplier search then solved it.  None when
     # the solve stopped before the check or has no ball.
     margin: float = None
 
@@ -516,246 +483,73 @@ def _multiplier_search(qp, budget, tol):
     return u, lam, calls
 
 
-def _ball_violation(qp, u):
-    worst = 0.0
-    for ball in qp.terminal:
-        worst = max(worst, float(np.linalg.norm(ball.Tmap @ u + ball.tvec)) - ball.radius)
-    return worst
-
-
-def _finished(qp, u, lam, rho, iterations, margin):
-    """SOLVED at a point of the multiplier search, with the ADMM restart
-    state its multipliers give: w = M u + c and rho y the multipliers of
-    the box rows (minus the Lagrangian gradient) and of each ball row."""
-    ops = qp.ops
-    w = ops.M @ u
-    y = np.empty_like(w)
-    grad = qp.H @ u + qp.g
-    for lb, (a, b), ball in zip(lam, ops.segments, qp.terminal):
-        w[a:b] += ball.tvec
-        y[a:b] = 2.0 * lb * w[a:b] / rho
-        grad += 2.0 * lb * (ball.Tmap.T @ w[a:b])
-    y[: ops.nu] = -grad / rho
-    inner = (qp.box_lo < u) & (u < qp.box_hi)
-    return QpSolution(
-        u_stack=u,
-        objective=qp.objective(u),
-        iterations=iterations,
-        primal_res=0.0,
-        dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
-        status=SOLVED,
-        w=w,
-        y=y,
-        rho=rho,
-        margin=margin,
-    )
-
-
-def solve_qp(qp, warm_start=None, options=None):
-    """Solve a condensed QP: exactly when no constraint binds or the solve
-    is cold, else by ADMM.
+def solve_qp(qp, options=None):
+    """Solve a condensed QP exactly.
 
     `qp` comes from `HorizonOperators.condense` or `build_condensed`; the
-    stacked constraint matrix, its products and the factor of H are read
-    from `qp.ops`.  `warm_start` may be a previous QpSolution (full restart
-    state) or a plain stacked input guess.
+    factor of H is read from `qp.ops`.  Every solve takes the same path:
 
-    Step zero solves H u = -g with the cached factor.  If u satisfies the
-    box and every ball exactly, it is returned as SOLVED with zero
-    residuals, w = M u + c, y = 0 and the penalty ADMM would have started
-    from, whatever the warm start.
+    1. The unconstrained minimizer u = -H^-1 g from the cached factor.  If
+       it satisfies the box and every ball exactly, it is returned as
+       SOLVED with zero residuals.
+    2. `ball_margins`: the least margin is reported as `margin`, and when
+       some ball is proven out of reach by more than BALL_FEAS_TOL the solve
+       returns INFEASIBLE with u clipped onto the box.  The proof does not
+       depend on BVLS converging, and it is exact when the balls act on
+       disjoint inputs, as in every QP the strategies build.
+    3. The multiplier search, one iteration per box QP.  It returns SOLVED
+       at a point that lies in the box and in every ball exactly, with each
+       ball that binds met within `options.eps_abs` of its radius.
 
-    Otherwise a cold solve (`warm_start` None, H positive definite) runs
-    `ball_margins` at once; the least margin is reported as `margin`, and
-    when some ball is proven out of reach by more than BALL_FEAS_TOL the
-    solve returns INFEASIBLE with u clipped onto the box.  The proof does
-    not depend on BVLS converging, and it is exact when the balls act on
-    disjoint inputs, as in every QP the strategies build.  When the least
-    margin is positive, or there is no ball, the multiplier search finishes
-    the solve: it returns SOLVED at a point that lies in the box and in
-    every ball exactly, with each ball that binds met within
-    `options.eps_abs` of its radius, primal_res 0, dual_res the largest
-    Lagrangian gradient over the inputs strictly inside the box,
-    w = M u + c and the y its multipliers give.
-
-    ADMM runs from the warm start (a cold one from u = 0) in every other
-    case: a warm start, an H that is only semidefinite, a least margin that
-    is not positive without a proof, or a search that stalls with budget
-    left (which only balls that share inputs have been seen to make it do).
-    Its termination requires the primal and dual residuals below their
-    tolerances and, after clipping the iterate onto the box, every terminal
-    ball satisfied to 1e-8.  If ADMM has not converged after CERTIFY_AT
-    iterations and the balls have not been checked yet, `ball_margins`
-    runs then, with the same verdict.
-
-    Iterations count solves with a factor: step zero is iteration 1 (also
-    when it is skipped because H is only semidefinite), the certificate of
-    a cold solve is iteration 2 (also when there is no ball to check), each
-    box QP of the search one more, and ADMM iterations follow whatever came
-    before them; a warm solve certifies at iteration CERTIFY_AT + 1.  A
-    solve takes at most `options.max_iters` (at least 1) of them, an exact
-    solve reports 1 and a cold infeasible one 2.  A solve that runs out of
-    budget returns MAX_ITERS with the margin of its certificate, if it got
-    that far.
+    So an exact solve reports 1 iteration, an infeasible one 2 and a
+    searched one 2 plus its box QPs.  A solve takes at most
+    `options.max_iters` (at least 1) of them.  A search that runs out of
+    budget, or stalls (which only balls that share inputs have been seen
+    to make it do), returns MAX_ITERS with the margin of step 2, if the
+    solve got that far.
     """
     opts = options or SolverOptions()
-    ops = qp.ops
-    H = qp.H
-    g = qp.g
-    M, Mt, MtM = ops.M, ops.Mt, ops.MtM
-    nu = H.shape[0]
     box_lo, box_hi = qp.box_lo, qp.box_hi
-    balls = [(a, b, ball.radius) for (a, b), ball in zip(ops.segments, qp.terminal)]
-    cvec = np.zeros(M.shape[0])
-    for (a, b), ball in zip(ops.segments, qp.terminal):
-        cvec[a:b] = ball.tvec
+    u = dpotrs(qp.ops.H_chol, -qp.g, lower=True)[0]
+    reach = [ball.Tmap @ u + ball.tvec for ball in qp.terminal]
+    if (
+        np.all(box_lo <= u)
+        and np.all(u <= box_hi)
+        and all(sqrt(s @ s) <= ball.radius for s, ball in zip(reach, qp.terminal))
+    ):
+        return QpSolution(u, qp.objective(u), iterations=1, primal_res=0.0, dual_res=0.0, status=SOLVED)
 
-    restart = isinstance(warm_start, QpSolution) and warm_start.w is not None
-    if restart and warm_start.rho:
-        rho = float(warm_start.rho)
-    else:
-        rho = max(1e-3, 0.1 * float(np.mean(np.diag(H))))
-
-    # Iterations spent before ADMM: step zero, the certificate and the box QPs.
-    start = 1
-    margin = None
-    if ops.H_chol is not None:
-        u = dpotrs(ops.H_chol, -g, lower=True)[0]
-        v = M @ u + cvec
-        if (
-            np.all(box_lo <= u)
-            and np.all(u <= box_hi)
-            and all(sqrt(v[a:b] @ v[a:b]) <= radius for a, b, radius in balls)
-        ):
-            return QpSolution(
-                u_stack=u,
-                objective=qp.objective(u),
-                iterations=1,
-                primal_res=0.0,
-                dual_res=0.0,
-                status=SOLVED,
-                w=v,
-                y=np.zeros(M.shape[0]),
-                rho=rho,
-            )
-        if warm_start is None and opts.max_iters > 1:
-            start = 2
-            margins = ball_margins(qp)
-            margin = min((m for m, _ in margins), default=None)
-            if margins and min(bound for _, bound in margins) < -BALL_FEAS_TOL:
-                u = np.clip(u, box_lo, box_hi)
+    iterations, margin, status = 1, None, MAX_ITERS
+    if opts.max_iters > 1:
+        iterations = 2
+        margins = ball_margins(qp)
+        margin = min((m for m, _ in margins), default=None)
+        if margins and min(bound for _, bound in margins) < -BALL_FEAS_TOL:
+            status = INFEASIBLE
+        else:
+            found, lam, calls = _multiplier_search(qp, opts.max_iters - iterations, opts.eps_abs)
+            iterations += calls
+            if found is not None:
+                grad = qp.H @ found + qp.g
+                for lb, ball in zip(lam, qp.terminal):
+                    grad += 2.0 * lb * (ball.Tmap.T @ (ball.Tmap @ found + ball.tvec))
+                inner = (box_lo < found) & (found < box_hi)
                 return QpSolution(
-                    u_stack=u,
-                    objective=qp.objective(u),
-                    iterations=start,
-                    primal_res=np.inf,
-                    dual_res=np.inf,
-                    status=INFEASIBLE,
-                    w=M @ u + cvec,
-                    y=np.zeros(M.shape[0]),
-                    rho=rho,
+                    found,
+                    qp.objective(found),
+                    iterations=iterations,
+                    primal_res=0.0,
+                    dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
+                    status=SOLVED,
                     margin=margin,
                 )
-            if margin is None or margin > 0.0:
-                found, lam, calls = _multiplier_search(qp, opts.max_iters - start, opts.eps_abs)
-                start += calls
-                if found is not None:
-                    return _finished(qp, found, lam, rho, start, margin)
-
-    Mtc = Mt @ cvec
-    # The box as bounds on all of v, unbounded on the ball rows.
-    lo = np.full(M.shape[0], -np.inf)
-    hi = np.full(M.shape[0], np.inf)
-    lo[:nu] = box_lo
-    hi[:nu] = box_hi
-
-    def project(v):
-        out = np.minimum(np.maximum(v, lo), hi)
-        for a, b, radius in balls:
-            seg = out[a:b]
-            nrm = sqrt(seg @ seg)
-            if nrm > radius:
-                seg *= radius / nrm
-        return out
-
-    if restart:
-        u = warm_start.u_stack.astype(float).copy()
-        w = warm_start.w.copy()
-        y = warm_start.y.copy()
-    else:
-        if warm_start is not None:
-            u = np.asarray(warm_start, dtype=float).reshape(-1).copy()
-        else:
-            u = np.zeros(nu)
-        w = project(M @ u + cvec)
-        y = np.zeros(M.shape[0])
-
-    eps_abs, eps_rel = opts.eps_abs, opts.eps_rel
-    g_max = float(np.abs(g).max()) if g.size else 0.0
-    chol, lower = cho_factor(H + rho * MtM)
-    # M^T w and M^T y are carried across iterations: the right-hand side
-    # and both residual tests reuse them.
-    Mtw = Mt @ w
-    Mty = Mt @ y
-    status = MAX_ITERS
-    r_norm = d_norm = np.inf
-    iterations = opts.max_iters
-    for it in range(1, opts.max_iters - start + 1):
-        u = dpotrs(chol, rho * (Mtw - Mtc - Mty) - g, lower=lower)[0]
-        v = M @ u + cvec
-        v_rel = OVER_RELAX * v + (1.0 - OVER_RELAX) * w
-        w = project(v_rel + y)
-        y = y + v_rel - w
-        Mtw_prev = Mtw
-        Mtw = Mt @ w
-        Mty = Mt @ y
-
-        r_norm = float(np.abs(v - w).max())
-        d_norm = rho * float(np.abs(Mtw_prev - Mtw).max())
-        eps_pri = eps_abs + eps_rel * max(float(np.abs(v).max()), float(np.abs(w).max()))
-        if r_norm <= eps_pri:
-            eps_dua = eps_abs + eps_rel * max(
-                float(np.abs(H @ u).max()), g_max, rho * float(np.abs(Mty).max())
-            )
-            if d_norm <= eps_dua:
-                clipped = np.clip(u, box_lo, box_hi)
-                if _ball_violation(qp, clipped) <= BALL_FEAS_TOL:
-                    status = SOLVED
-                    iterations = start + it
-                    break
-
-        if it == CERTIFY_AT and qp.terminal and margin is None:
-            margins = ball_margins(qp)
-            margin = min(m for m, _ in margins)
-            if min(bound for _, bound in margins) < -BALL_FEAS_TOL:
-                status = INFEASIBLE
-                iterations = start + it
-                break
-
-        if it % BALANCE_EVERY == 0:
-            # Residual balancing; the scaled dual is rescaled so the
-            # underlying multiplier rho * y stays fixed.
-            scale = None
-            if r_norm > BALANCE_RATIO * d_norm:
-                scale = BALANCE_FACTOR
-            elif d_norm > BALANCE_RATIO * r_norm:
-                scale = 1.0 / BALANCE_FACTOR
-            if scale is not None:
-                rho *= scale
-                y /= scale
-                Mty = Mt @ y
-                chol, lower = cho_factor(H + rho * MtM)
-
-    u_out = np.clip(u, box_lo, box_hi)
+    u = np.clip(u, box_lo, box_hi)
     return QpSolution(
-        u_stack=u_out,
-        objective=qp.objective(u_out),
+        u,
+        qp.objective(u),
         iterations=iterations,
-        primal_res=r_norm,
-        dual_res=d_norm,
+        primal_res=np.inf,
+        dual_res=np.inf,
         status=status,
-        w=w,
-        y=y,
-        rho=rho,
         margin=margin,
     )

@@ -34,7 +34,7 @@ from test_qp import random_condensed
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 BUILD_ERRORS = (SelectionFailed, NotSchur, NotStabilized, RiccatiDiverged)
-TIGHT = SolverOptions(eps_abs=1e-10, eps_rel=1e-9)
+TIGHT = SolverOptions(eps_abs=1e-10)
 
 
 def certified_instances(seed, count, N=None, solver=None, max_attempts=2000):

@@ -131,6 +131,15 @@ class TestSimulate:
         assert "solver failure" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_loop_shorter_than_the_abort_rule_reported(self, tmp_path, capsys):
+        # two failed steps end the loop before three in a row abort it
+        doc = flagship_dict()
+        doc["sim"]["x0"] = [1000.0] * 18
+        cfg = write_cfg(tmp_path, doc)
+        assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--steps", "2"]) == 4
+        assert "solved none of its 2 steps" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestCompare:
     def test_flagship_table(self, tmp_path, capsys):
@@ -184,6 +193,31 @@ class TestFailureModes:
     def test_bad_strategy_choice(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["simulate", "--config", str(example_config_path()), "--strategy", "magic"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--steps", "0"],
+            ["simulate", "--steps", "-2"],
+            ["simulate", "--strategy", "coop", "--iters", "0"],
+            ["compare", "--iters", "0"],
+            ["montecarlo", "--draws", "0"],
+            ["montecarlo", "--draws", "-1"],
+        ],
+    )
+    def test_count_below_one_is_a_configuration_error(self, tmp_path, capsys, args):
+        code = run([args[0], "--config", str(example_config_path()), "--out-dir", str(tmp_path)] + args[1:])
+        assert code == 2
+        assert "configuration error: %s: must be an integer >= 1" % args[-2] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_configured_zero_steps_rejected(self, tmp_path, capsys):
+        doc = flagship_dict()
+        doc["sim"]["steps"] = 0
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_cfg(tmp_path, doc), "--out-dir", str(out)]) == 2
+        assert "sim.steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -89,7 +89,6 @@ class TestParsing:
             ("eps_abs", 0.0),
             ("eps_abs", -1e-8),
             ("eps_abs", float("nan")),
-            ("eps_rel", -1e-6),
         ],
     )
     def test_bad_solver_setting(self, key, value):
@@ -100,9 +99,34 @@ class TestParsing:
 
     def test_solver_edge_settings_accepted(self):
         doc = minimal_single_agent()
-        doc["solver"] = {"max_iters": 1, "eps_abs": 1e-12, "eps_rel": 0.0}
+        doc["solver"] = {"max_iters": 1, "eps_abs": 1e-12}
         cfg = config_from_dict(doc)
-        assert (cfg.solver.max_iters, cfg.solver.eps_abs, cfg.solver.eps_rel) == (1, 1e-12, 0.0)
+        assert (cfg.solver.max_iters, cfg.solver.eps_abs) == (1, 1e-12)
+
+    def test_retired_keys_are_ignored(self):
+        # solver.eps_rel tuned a solver that is gone; subsystems.C was never read
+        doc = minimal_single_agent()
+        doc["solver"] = {"eps_rel": 1e-6}
+        doc["subsystems"]["C"] = [[[[1.0, 0.0]]]]
+        cfg = config_from_dict(doc)
+        assert cfg == config_from_dict(minimal_single_agent())
+        assert "eps_rel" not in cfg.to_dict()["solver"] and "C" not in cfg.to_dict()["subsystems"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("steps", 0), ("steps", -3), ("iters", 0), ("draws", 0), ("draws", -1), ("warmup_steps", -1)],
+    )
+    def test_bad_sim_count(self, key, value):
+        doc = minimal_single_agent()
+        doc["sim"] = {key: value}
+        with pytest.raises(ConfigError, match="sim.%s" % key):
+            config_from_dict(doc)
+
+    def test_sim_edge_counts_accepted(self):
+        doc = minimal_single_agent()
+        doc["sim"] = {"steps": 1, "iters": 1, "draws": 1, "warmup_steps": 0}
+        sim = config_from_dict(doc).sim
+        assert (sim.steps, sim.iters, sim.draws, sim.warmup_steps) == (1, 1, 1, 0)
 
     def test_unknown_sim_strategy(self):
         doc = minimal_single_agent()

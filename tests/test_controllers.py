@@ -12,6 +12,7 @@ from coopmpc import (
     SolverOptions,
     StrategyConfig,
     evaluate_cost,
+    run_closed_loop,
     shift_sequences,
     solve_centralized,
     solve_cooperative,
@@ -20,11 +21,12 @@ from coopmpc import (
     solve_strategy,
 )
 
-from coopmpc.qp import INFEASIBLE
+from coopmpc import controllers
+from coopmpc.qp import INFEASIBLE, SOLVED, solve_qp
 
-from support import X0_EXP2, random_certified_problem
+from support import X0_EXP1, X0_EXP2, random_certified_problem
 
-TIGHT = SolverOptions(eps_abs=1e-11, eps_rel=1e-9)
+TIGHT = SolverOptions(eps_abs=1e-11)
 
 # frozen single-solve reference at the second benchmark state
 BENCH2_GC = 1.398630604307689e4
@@ -60,13 +62,17 @@ class TestSequences:
     def test_stacking_round_trip(self, rng_factory):
         rng = rng_factory(71)
         m = (2, 1, 3)
-        seqs = InputSequenceSet(u=tuple(rng.normal(size=(mi, 4)) for mi in m))
+        vec = rng.normal(size=4 * sum(m))
+        seqs = InputSequenceSet.from_stacked(vec, m, 4)
+        assert [ui.shape for ui in seqs.u] == [(mi, 4) for mi in m]
         back = InputSequenceSet.from_stacked(seqs.stacked(), m, 4)
+        assert np.array_equal(back.stacked(), vec)
         for a, b in zip(seqs.u, back.u):
             assert np.array_equal(a, b)
 
     def test_stacked_is_stage_major(self):
-        seqs = InputSequenceSet(u=(np.array([[1.0, 3.0]]), np.array([[2.0, 4.0]])))
+        seqs = InputSequenceSet(np.array([[1.0, 2.0], [3.0, 4.0]]), (1, 1))
+        assert np.array_equal(seqs.u[0], [[1.0, 3.0]]) and np.array_equal(seqs.u[1], [[2.0, 4.0]])
         assert np.array_equal(seqs.stacked(), [1.0, 2.0, 3.0, 4.0])
 
 
@@ -237,3 +243,29 @@ class TestDispatchAndShift:
             assert np.array_equal(shifted.u[i][:, :-1], seqs.u[i][:, 1:])
             tail = flagship.ingredients.K[i] @ traj[flagship.N, s]
             assert np.max(np.abs(shifted.u[i][:, -1] - tail)) <= 1e-12
+
+
+class TestExactness:
+    def test_every_loop_solve_is_exact(self, flagship, monkeypatch):
+        # every QP of the flagship loops, later steps and coop rounds included
+        solves = []
+
+        def recorded(qp, *args, **kwargs):
+            sol = solve_qp(qp, *args, **kwargs)
+            solves.append((qp, sol))
+            return sol
+
+        monkeypatch.setattr(controllers, "solve_qp", recorded)
+        for x0 in (X0_EXP1, X0_EXP2):
+            xbar0 = flagship.pmap.to_regrouped(x0)
+            for kind in ("centralized", "noiter", "coop"):
+                trace = run_closed_loop(flagship, xbar0, StrategyConfig(kind=kind, iters=5), 10)
+                assert len(trace.steps) == 10
+        assert any(sol.iterations >= 3 for _, sol in solves)
+        for qp, sol in solves:
+            assert sol.status == SOLVED and sol.primal_res == 0.0
+            # 1: the unconstrained minimizer; 2 + box QPs: the search
+            assert sol.iterations == 1 or sol.iterations >= 3
+            u = sol.u_stack
+            assert np.all(qp.box_lo <= u) and np.all(u <= qp.box_hi)
+            assert all(np.linalg.norm(b.Tmap @ u + b.tvec) <= b.radius for b in qp.terminal)

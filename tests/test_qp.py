@@ -1,11 +1,11 @@
-"""Condensed horizon problem construction and the splitting solver."""
+"""Condensed horizon problem construction and the exact solver."""
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from coopmpc import DimensionMismatch, SolverOptions, build_condensed, solve_noiter_all, solve_qp
-from coopmpc.qp import BALL_FEAS_TOL, CERTIFY_AT, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
+from coopmpc import DimensionMismatch, NotPD, SolverOptions, build_condensed, solve_noiter_all, solve_qp
+from coopmpc.qp import BALL_FEAS_TOL, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
 from coopmpc.qp import _box_qp, _bvls, _multiplier_search
 
 from oracles import horizon_cost, solve_box_qp_active_set, solve_one_ball_qp_bisection
@@ -112,15 +112,6 @@ class TestSolve:
         assert sol.status == SOLVED
         assert np.max(np.abs(sol.u_stack)) <= 1e-8
 
-    def test_warm_restart_is_instant(self, rng_factory):
-        rng = rng_factory(62)
-        qp, _ = random_condensed(rng, x0_scale=2.0)
-        cold = solve_qp(qp)
-        assert cold.status == SOLVED
-        warm = solve_qp(qp, warm_start=cold)
-        assert warm.status == SOLVED
-        assert warm.iterations <= 5
-
     def test_feasible_point_dominance(self, rng_factory):
         rng = rng_factory(63)
         qp, _ = random_condensed(rng, x0_scale=2.0)
@@ -172,9 +163,7 @@ class TestExactPath:
         assert sol.status == SOLVED
         assert sol.iterations == 1
         assert np.max(np.abs(sol.u_stack - np.linalg.solve(qp.H, -qp.g))) <= 1e-12
-        assert not np.any(sol.y)
         assert sol.primal_res == 0.0 and sol.dual_res == 0.0
-        assert np.array_equal(sol.w, qp.ops.M @ sol.u_stack)
 
     def test_factor_is_cached_and_read_only(self, rng_factory):
         qp, _ = random_condensed(rng_factory(66))
@@ -198,24 +187,20 @@ class TestExactPath:
         term = qp.terminal[0]
         assert np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec) <= radius + BALL_FEAS_TOL
 
-    def test_restart_from_exact_solution_on_constrained_state(self, rng_factory):
+    def test_exact_and_constrained_states_share_operators(self, rng_factory):
         ball = [(slice(0, 2), 0.8)]
         qp, (_, _, _, _, _, x0) = random_condensed(rng_factory(65), x0_scale=0.1, balls=ball)
         exact = solve_qp(qp)
-        assert exact.iterations == 1
-        term = qp.terminal[0]
-        reach = term.Tmap @ exact.u_stack + term.tvec
-        assert np.max(np.abs(exact.w[qp.ops.segments[0][0] :] - reach)) <= 1e-12
+        assert (exact.status, exact.iterations) == (SOLVED, 1)
         tight = qp.ops.condense(15.0 * x0)
         u_free = np.linalg.solve(tight.H, -tight.g)
         term = tight.terminal[0]
         assert np.linalg.norm(term.Tmap @ u_free + term.tvec) > term.radius
-        cold = solve_qp(tight)
-        warm = solve_qp(tight, warm_start=exact)
-        assert cold.status == SOLVED and warm.status == SOLVED
-        assert warm.iterations > 1
-        assert np.max(np.abs(warm.u_stack - cold.u_stack)) <= 1e-5
-        assert np.linalg.norm(term.Tmap @ warm.u_stack + term.tvec) <= term.radius + BALL_FEAS_TOL
+        sol = solve_qp(tight)
+        assert sol.status == SOLVED and sol.iterations > 2
+        assert in_box_and_balls(tight, sol.u_stack)
+        ref = solve_one_ball_qp_bisection(tight.H, tight.g, tight.box_lo, tight.box_hi, term.Tmap, term.tvec, 0.8)
+        assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
 
     def test_exact_check_counts_against_budget(self, rng_factory):
         qp, _ = random_condensed(rng_factory(66), x0_scale=3.0, lo=-0.5, hi=0.5)
@@ -227,13 +212,10 @@ class TestExactPath:
         short = solve_qp(qp, options=SolverOptions(max_iters=budget - 1))
         assert (short.status, short.iterations) == (MAX_ITERS, budget - 1)
 
-    def test_semidefinite_hessian_skips_step_zero(self):
+    def test_semidefinite_hessian_is_rejected(self):
         # a dead input with no input weight: H = 0 has no Cholesky factor
-        qp = build_condensed(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2), [[0.0]], 2, [1.0, 0.0], [-1.0], [1.0])
-        assert qp.ops.H_chol is None
-        sol = solve_qp(qp)
-        assert sol.status == SOLVED
-        assert sol.iterations > 1
+        with pytest.raises(NotPD):
+            build_condensed(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2), [[0.0]], 2, [1.0, 0.0], [-1.0], [1.0])
 
 
 def seed65_qp(rng_factory, radius):
@@ -245,18 +227,13 @@ def seed65_qp(rng_factory, radius):
 
 
 class TestInfeasibilityCertificate:
-    """The BVLS checkpoint: iteration 2 of a cold solve, and after CERTIFY_AT
-    unconverged ADMM iterations of a warm one."""
+    """The BVLS checkpoint: iteration 2 of every solve past step zero."""
 
     def test_dead_input_certified_at_checkpoint(self):
         sol = solve_qp(dead_input_qp())
         assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
         # ||(5, 5)|| can only be reached, so the margin is 0.5 - 5 sqrt(2)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
-        # a warm start runs ADMM up to its checkpoint first
-        warm = solve_qp(dead_input_qp(), warm_start=np.zeros(3))
-        assert (warm.status, warm.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
-        assert warm.margin == sol.margin
 
     def test_bound_is_sound(self, rng_factory):
         qp = seed65_qp(rng_factory, 1.0)
@@ -279,9 +256,6 @@ class TestInfeasibilityCertificate:
         sol = solve_qp(qp)
         assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
-        warm = solve_qp(qp, warm_start=np.zeros(3))
-        assert (warm.status, warm.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
-        assert warm.margin == sol.margin
 
     def test_short_budget_reports_no_margin(self):
         sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=1))
@@ -289,12 +263,6 @@ class TestInfeasibilityCertificate:
         assert sol.margin is None
         sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=2))
         assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
-        warm = np.zeros(3)
-        sol = solve_qp(dead_input_qp(), warm_start=warm, options=SolverOptions(max_iters=CERTIFY_AT))
-        assert (sol.status, sol.iterations) == (MAX_ITERS, CERTIFY_AT)
-        assert sol.margin is None
-        sol = solve_qp(dead_input_qp(), warm_start=warm, options=SolverOptions(max_iters=CERTIFY_AT + 1))
-        assert (sol.status, sol.iterations) == (INFEASIBLE, CERTIFY_AT + 1)
 
     def test_tight_feasible_ball_is_never_infeasible(self, rng_factory):
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
@@ -308,10 +276,10 @@ class TestInfeasibilityCertificate:
         assert short.margin == pytest.approx(-0.01 * reach, rel=1e-9)
 
     def test_converged_solve_skips_certificate(self, rng_factory):
-        # warm, so ADMM runs and finishes before its checkpoint
-        sol = solve_qp(seed65_qp(rng_factory, 3.0), warm_start=np.zeros(4))
-        assert sol.status == SOLVED
-        assert 1 < sol.iterations <= CERTIFY_AT
+        # the unconstrained minimizer lies in the box and the ball: step zero finishes
+        qp, _ = random_condensed(rng_factory(65), x0_scale=0.1, balls=[(slice(0, 2), 0.8)])
+        sol = solve_qp(qp)
+        assert (sol.status, sol.iterations) == (SOLVED, 1)
         assert sol.margin is None
 
 
@@ -325,7 +293,7 @@ def in_box_and_balls(qp, u):
 
 
 class TestExactFinish:
-    """Cold constrained solves end with the multiplier search after the
+    """Constrained solves end with the multiplier search after the
     certificate, which is iteration 2."""
 
     def test_one_ball_matches_bisection_oracle(self, rng_factory):
@@ -425,16 +393,6 @@ class TestExactFinish:
             assert (short.status, short.iterations) == (MAX_ITERS, budget)
             assert short.margin == full.margin
 
-    def test_search_solution_restarts_admm_at_once(self, rng_factory):
-        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
-        qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
-        cold = solve_qp(qp)
-        assert cold.iterations > 2
-        warm = solve_qp(qp, warm_start=cold)
-        assert warm.status == SOLVED
-        assert warm.iterations <= 3
-        assert np.max(np.abs(warm.u_stack - cold.u_stack)) <= 1e-6
-
     def test_flagship_draws_finish_in_few_bvls_calls(self, flagship):
         # every centralized and local QP of the first 50 seed-20 Monte
         # Carlo draws that reaches the search
@@ -491,18 +449,15 @@ class TestExactFinish:
             gl = qp.g + sum(2.0 * lb * b.Tmap.T @ b.tvec for b, lb in zip(qp.terminal, lam))
             assert np.max(np.abs(u - solve_box_qp_active_set(Hl, gl, qp.box_lo, qp.box_hi))) <= 1e-7
 
-    def test_stalled_search_hands_over_to_admm(self, rng_factory, monkeypatch):
+    def test_stalled_search_returns_max_iters(self, rng_factory, monkeypatch):
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
-        # a search that stalls after 3 box QPs
+        # a search that stalls after 3 box QPs, with budget left
         monkeypatch.setattr("coopmpc.qp._multiplier_search", lambda qp, budget, tol: (None, np.zeros(1), 3))
         sol = solve_qp(qp)
-        assert sol.status == SOLVED and sol.iterations > 2 + 3
+        assert (sol.status, sol.iterations) == (MAX_ITERS, 2 + 3)
         assert sol.margin == pytest.approx(0.01 * (1.0 - margin), rel=1e-9)
-        term = qp.terminal[0]
-        assert np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec) <= term.radius + BALL_FEAS_TOL
-        short = solve_qp(qp, options=SolverOptions(max_iters=2 + 3))
-        assert (short.status, short.iterations) == (MAX_ITERS, 2 + 3)
+        assert np.all(qp.box_lo <= sol.u_stack) and np.all(sol.u_stack <= qp.box_hi)
 
     def test_balls_with_no_common_point_end_without_error(self, rng_factory):
         # Three balls on shared state rows, each reachable on its own with
