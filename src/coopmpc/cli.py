@@ -197,8 +197,10 @@ def cmd_montecarlo(args, cfg):
     draws = args.draws if args.draws is not None else cfg.sim.draws
     seed = args.seed if args.seed is not None else cfg.sim.seed
     report = monte_carlo(problem, draws, cfg.sim.bounds, strategy, seed)
-    path = _write(args.out_dir, "montecarlo.json", json.dumps(report.to_dict(), indent=2) + "\n")
+    path = _write(args.out_dir, "montecarlo.json", json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     print("wrote %s" % path)
+    if report.excluded == report.draws:
+        raise SolverFailure("Monte Carlo excluded all of its %d draws" % report.draws)
     print(
         "%d draws (%d excluded): mean loss %.4f%%, worst %.4f%%"
         % (report.draws, report.excluded, 100 * report.loss_mean, 100 * report.loss_worst)

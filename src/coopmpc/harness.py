@@ -312,7 +312,8 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
     reported as null losses at their seed-stable index; `excluded_draws`
     records each one's index, the failed solve's status and its least
     terminal-ball margin (None when the solve stopped before the
-    certificate ran).
+    certificate ran).  loss_mean and loss_worst are None when every draw
+    is excluded.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
@@ -337,8 +338,8 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
         seed=int(seed),
         strategy=strategy.label(),
         bounds=(lo, hi),
-        loss_mean=float(np.mean(kept)) if kept else float("nan"),
-        loss_worst=float(np.max(kept)) if kept else float("nan"),
+        loss_mean=float(np.mean(kept)) if kept else None,
+        loss_worst=float(np.max(kept)) if kept else None,
         excluded=len(excluded_draws),
         per_draw_losses=losses,
         excluded_draws=excluded_draws,

@@ -26,28 +26,30 @@ the explicit-MPC picture (Bemporad, Morari, Dua & Pistikopoulos,
 Automatica 2002) these are the states of the critical region whose active
 set is empty; near the origin of a regulated loop they are the common case.
 
-The box (lo <= hi) is never empty, so only the balls can make the problem
-infeasible.  A solve whose unconstrained minimizer is infeasible next
-checks each ball once (`ball_margins`): BVLS (Stark & Parker,
-Computational Statistics 1995) gives the least terminal norm
-||Tmap u + tvec|| reachable over the box, and the hyperplane through that
-point gives a lower bound on the norm that holds whatever BVLS returned.
-When the bound exceeds a ball's radius by more than BALL_FEAS_TOL, no
-input in the box reaches the ball and the solve stops as INFEASIBLE.  Up
-to that tolerance the check is exact for every QP the strategies build:
-each of their balls acts on a different agent's inputs, so the QP is
-feasible exactly when every ball is reachable on its own.  With balls that
-share inputs it is still a proof when it fires, but an infeasible QP then
-ends as MAX_ITERS.
+A solve whose unconstrained minimizer is infeasible next finishes exactly
+with a search over the ball multipliers (`_multiplier_search`).  For fixed
+multipliers the Lagrangian over the box is a strictly convex box QP, which
+a primal active set on its Cholesky factor solves exactly (`_box_qp`), and
+Newton's method on the secular equation of each ball (Moré & Sorensen,
+SIAM J. Sci. Stat. Comput. 1983) finds the multipliers: a median of 5 box
+QPs, at most 11, on the flagship's Monte Carlo draws.  The point it
+returns lies in the box and in every ball with no slack.
 
-Otherwise the solve finishes exactly with a search over the ball
-multipliers (`_multiplier_search`).  For fixed multipliers the Lagrangian
-over the box is a strictly convex box QP, which a primal active set on its
-Cholesky factor solves exactly (`_box_qp`), and Newton's method on the
-secular equation of each ball (Moré & Sorensen, SIAM J. Sci. Stat.
-Comput. 1983) finds the multipliers: a median of 5 box QPs, at most 11, on
-the flagship's Monte Carlo draws.  The point it returns lies in the box
-and in every ball with no slack.
+The box (lo <= hi) is never empty, so only the balls can make the problem
+infeasible.  The residual of any u in the box gives a direction d, and the
+least value of d.(Tmap v + tvec) over the box, a supporting hyperplane of
+the reachable set, bounds ||Tmap v + tvec|| from below for every v in the
+box (`_margin_bound`).  The search stops as soon as that bound, along the
+residual of a point it computes, exceeds a ball's radius by more than
+BALL_FEAS_TOL.  Only a search that ends without a point is followed by the
+certificate (`ball_margins`): BVLS (Stark & Parker, Computational
+Statistics 1995) gives the least terminal norm reachable over the box, and
+the same bound along the residual there decides whether the solve is
+INFEASIBLE or ran out of budget.  Up to the tolerance the certificate is
+exact for every QP the strategies build: each of their balls acts on a
+different agent's inputs, so the QP is feasible exactly when every ball is
+reachable on its own.  With balls that share inputs it is still a proof
+when it fires, but an infeasible QP then ends as MAX_ITERS.
 """
 
 from dataclasses import dataclass, field
@@ -264,9 +266,9 @@ class QpSolution:
     primal_res: float
     dual_res: float
     status: str
-    # Least ball margin of `ball_margins`, set by every solve that checked
-    # its balls, also when the multiplier search then solved it.  None when
-    # the solve stopped before the check or has no ball.
+    # Least ball margin of `ball_margins`, set by every failed solve that
+    # reached the certificate.  None on a SOLVED result, which never runs
+    # it, and when the solve stopped at the exact check or has no ball.
     margin: float = None
 
 
@@ -335,30 +337,39 @@ def _box_qp(H, c, lo, hi, L):
     return _bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi)
 
 
+def _margin_bound(ball, s, lo, hi):
+    """Upper bound on a ball's margin over the box [lo, hi], from the
+    residual s = Tmap u + tvec of any u.
+
+    The value is radius - (d.tvec + sum_j min(lo_j c_j, hi_j c_j)) with
+    d = s / ||s|| and c = Tmap^T d, and radius when s = 0.  Every v in the
+    box has ||Tmap v + tvec|| >= d.(Tmap v + tvec) >= that sum, the
+    supporting hyperplane along d, so a negative value proves the ball out
+    of reach whatever u was.
+    """
+    dist = sqrt(s @ s)
+    if dist == 0.0:
+        return ball.radius
+    d = s / dist
+    c = ball.Tmap.T @ d
+    return ball.radius - float(d @ ball.tvec + np.minimum(lo * c, hi * c).sum())
+
+
 def ball_margins(qp):
     """Reachability of each terminal ball over the box, as (margin, bound).
 
     margin is radius - ||Tmap u* + tvec|| with u* the box-constrained
-    least-squares point from BVLS.  bound is radius minus the supporting
-    hyperplane value d.tvec + sum_j min(lo_j c_j, hi_j c_j), where d is the
-    unit residual at u* and c = Tmap^T d (the value is 0 when u* reaches
-    the origin).  Every u in the box has ||Tmap u + tvec|| >=
-    d.(Tmap u + tvec) >= that value, so bound is an upper bound on the
-    true margin even when BVLS stops early, and a negative bound proves
-    the ball out of reach.  At the BVLS optimum the two agree.
+    least-squares point from BVLS, and bound is `_margin_bound` along the
+    residual at u*.  So bound is an upper bound on the true margin even
+    when BVLS stops early, and a negative bound proves the ball out of
+    reach.  At the BVLS optimum the two agree.
     """
     lo, hi = qp.box_lo, qp.box_hi
     out = []
     for ball in qp.terminal:
         u, _ = _bvls(ball.Tmap, -ball.tvec, lo, hi)
         r = ball.Tmap @ u + ball.tvec
-        dist = float(np.linalg.norm(r))
-        bound = 0.0
-        if dist > 0.0:
-            d = r / dist
-            c = ball.Tmap.T @ d
-            bound = float(d @ ball.tvec + np.minimum(lo * c, hi * c).sum())
-        out.append((ball.radius - dist, ball.radius - bound))
+        out.append((ball.radius - sqrt(r @ r), _margin_bound(ball, r, lo, hi)))
     return out
 
 
@@ -383,8 +394,8 @@ def _multiplier_search(qp, budget, tol):
 
     Returns (u, lam, calls): u lies in the box and in every ball with no
     slack, and every ball with a positive multiplier is met within tol.
-    u is None when `budget` box QPs did not reach such a point or the
-    search stalled.
+    u is None when `budget` box QPs did not reach such a point, when the
+    search stalled, or when a point it computed proved a ball out of reach.
     """
     H, g, lo, hi = qp.H, qp.g, qp.box_lo, qp.box_hi
     T = [ball.Tmap for ball in qp.terminal]
@@ -393,9 +404,12 @@ def _multiplier_search(qp, budget, tol):
     rho = r - 0.5 * tol
     TtT = [Tb.T @ Tb for Tb in T]
     Ttt = np.array([Tb.T @ tb for Tb, tb in zip(T, t)])
-    # Multiplier at which 2 lam T^T T weighs as much as H, for doubling.
-    scale = np.trace(H) / (2.0 * np.maximum([np.trace(A) for A in TtT], np.finfo(float).tiny))
-    lost = scale / np.finfo(float).eps
+    # Multiplier at which 2 lam T^T T weighs as much as H, for doubling; the
+    # floor keeps it finite for a ball that no input moves.
+    eps = np.finfo(float).eps
+    trace_H = np.trace(H)
+    scale = trace_H / (2.0 * np.maximum([np.trace(A) for A in TtT], eps * trace_H))
+    lost = scale / eps
     calls = 0
 
     def point(lam):
@@ -404,7 +418,9 @@ def _multiplier_search(qp, budget, tol):
         z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian.
         None once some lam_b is past scale_b / eps, where H is lost in
         rounding, or a factor fails: balls that share inputs but no point
-        drive lam there."""
+        drive lam there.  None too when the point's residual proves a ball
+        out of reach (`_margin_bound`), as it soon does on an infeasible
+        QP, where lam grows towards the least-norm point."""
         nonlocal calls
         if np.any(lam > lost):
             return None
@@ -416,6 +432,9 @@ def _multiplier_search(qp, budget, tol):
         u, free = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
         s = [Tb @ u + tb for Tb, tb in zip(T, t)]
         n = np.array([sqrt(sb @ sb) for sb in s])
+        for sb, nb, ball in zip(s, n, qp.terminal):
+            if nb > ball.radius and _margin_bound(ball, sb, lo, hi) < -BALL_FEAS_TOL:
+                return None
         # One column per ball; the reshape keeps the shape when there is none.
         Z = np.array([Tb.T @ sb for Tb, sb in zip(T, s)]).reshape(len(s), len(u)).T[free]
         if free.any():
@@ -431,7 +450,10 @@ def _multiplier_search(qp, budget, tol):
     lam = np.zeros(len(r))
     if budget < 1:
         return None, lam, calls
-    u, n, J = point(lam)
+    found = point(lam)
+    if found is None:
+        return None, lam, calls
+    u, n, J = found
     if len(r) == 1:
         below, above, inside = 0.0, np.inf, None
         while not done(lam, n):
@@ -492,21 +514,24 @@ def solve_qp(qp, options=None):
     1. The unconstrained minimizer u = -H^-1 g from the cached factor.  If
        it satisfies the box and every ball exactly, it is returned as
        SOLVED with zero residuals.
-    2. `ball_margins`: the least margin is reported as `margin`, and when
-       some ball is proven out of reach by more than BALL_FEAS_TOL the solve
-       returns INFEASIBLE with u clipped onto the box.  The proof does not
-       depend on BVLS converging, and it is exact when the balls act on
-       disjoint inputs, as in every QP the strategies build.
-    3. The multiplier search, one iteration per box QP.  It returns SOLVED
-       at a point that lies in the box and in every ball exactly, with each
-       ball that binds met within `options.eps_abs` of its radius.
+    2. The multiplier search, one iteration per box QP, with a budget of
+       `options.max_iters` - 2.  It returns SOLVED at a point that lies in
+       the box and in every ball exactly, with each binding ball met within
+       `options.eps_abs` of its radius, and no margin.  It ends without a
+       point once the residual of a point it computes proves a ball out of
+       reach, when its budget runs out, or when it stalls (which only balls
+       that share inputs have been seen to make it do).
+    3. `ball_margins`, one more iteration, only after a search without a
+       point: the least margin is reported as `margin`, and the solve
+       returns INFEASIBLE when some ball is proven out of reach by more than
+       BALL_FEAS_TOL, MAX_ITERS otherwise, with u clipped onto the box.  The
+       proof does not depend on BVLS converging, and it is exact when the
+       balls act on disjoint inputs, as in every QP the strategies build.
 
-    So an exact solve reports 1 iteration, an infeasible one 2 and a
-    searched one 2 plus its box QPs.  A solve takes at most
-    `options.max_iters` (at least 1) of them.  A search that runs out of
-    budget, or stalls (which only balls that share inputs have been seen
-    to make it do), returns MAX_ITERS with the margin of step 2, if the
-    solve got that far.
+    So an exact solve reports 1 iteration, a searched one 1 plus its box
+    QPs and a failed one 1 plus its box QPs plus 1.  A solve takes at most
+    `options.max_iters` (at least 1) of them; with 1 it returns MAX_ITERS
+    and no margin after the exact check.
     """
     opts = options or SolverOptions()
     box_lo, box_hi = qp.box_lo, qp.box_hi
@@ -521,28 +546,27 @@ def solve_qp(qp, options=None):
 
     iterations, margin, status = 1, None, MAX_ITERS
     if opts.max_iters > 1:
-        iterations = 2
+        # The search leaves one iteration of the budget for the certificate.
+        found, lam, calls = _multiplier_search(qp, opts.max_iters - 2, opts.eps_abs)
+        iterations += calls
+        if found is not None:
+            grad = qp.H @ found + qp.g
+            for lb, ball in zip(lam, qp.terminal):
+                grad += 2.0 * lb * (ball.Tmap.T @ (ball.Tmap @ found + ball.tvec))
+            inner = (box_lo < found) & (found < box_hi)
+            return QpSolution(
+                found,
+                qp.objective(found),
+                iterations=iterations,
+                primal_res=0.0,
+                dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
+                status=SOLVED,
+            )
+        iterations += 1
         margins = ball_margins(qp)
         margin = min((m for m, _ in margins), default=None)
         if margins and min(bound for _, bound in margins) < -BALL_FEAS_TOL:
             status = INFEASIBLE
-        else:
-            found, lam, calls = _multiplier_search(qp, opts.max_iters - iterations, opts.eps_abs)
-            iterations += calls
-            if found is not None:
-                grad = qp.H @ found + qp.g
-                for lb, ball in zip(lam, qp.terminal):
-                    grad += 2.0 * lb * (ball.Tmap.T @ (ball.Tmap @ found + ball.tvec))
-                inner = (box_lo < found) & (found < box_hi)
-                return QpSolution(
-                    found,
-                    qp.objective(found),
-                    iterations=iterations,
-                    primal_res=0.0,
-                    dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
-                    status=SOLVED,
-                    margin=margin,
-                )
     u = np.clip(u, box_lo, box_hi)
     return QpSolution(
         u,

@@ -9,9 +9,11 @@ from coopmpc import (
     SubsystemBlocks,
     build_composite,
     build_permutation,
+    solve_qp,
     synthesize,
     transform_plant,
 )
+from coopmpc.qp import _multiplier_search, ball_margins
 
 # The two benchmark initial states shipped with the example configuration
 # (original subsystem-major ordering, 18 entries each).
@@ -130,3 +132,26 @@ def single_agent_problem(a=0.5, b=1.0, q=1.0, r=1.0, N=4):
         radii=[1.0],
         u_max=[np.array([5.0])],
     )
+
+
+def search_calls(qp, options=None):
+    """Box QPs the multiplier search of `solve_qp(qp, options)` runs: a
+    direct search with the solve's budget, which leaves one iteration of
+    `max_iters` to the exact check and one to the certificate."""
+    options = options or SolverOptions()
+    return _multiplier_search(qp, options.max_iters - 2, options.eps_abs)[2]
+
+
+def least_margin(qp):
+    """The least ball margin of `ball_margins`, which a failed solve reports."""
+    return min(margin for margin, _ in ball_margins(qp))
+
+
+def noiter_verdicts(problem, xbar):
+    """(solution, search calls, least margin) of every agent's local QP at
+    xbar, solved with the problem's options."""
+    out = []
+    for i, s in enumerate(problem.group_slices()):
+        qp = problem.agent_operators(i).ops.condense(xbar[s])
+        out.append((solve_qp(qp, options=problem.solver), search_calls(qp, problem.solver), least_margin(qp)))
+    return out

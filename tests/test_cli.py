@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from coopmpc import example_config_path
+from coopmpc import build_problem, example_config_path, initial_state, load_config
 from coopmpc.cli import main
+from coopmpc.qp import INFEASIBLE
 
+from support import noiter_verdicts
 from test_config import flagship_dict, minimal_single_agent
 
 
@@ -18,6 +20,17 @@ def write_cfg(tmp_path, doc, name="problem.cfg"):
 
 def run(args):
     return main(list(args))
+
+
+def assert_certified_at_first_box_qp(cfg):
+    """Every agent of the configured initial state fails on the certificate's
+    verdict, with its budget unused: the residual of the search's first box
+    QP proves its ball out of reach, and the certificate is iteration 3."""
+    config = load_config(cfg)
+    problem = build_problem(config)
+    for sol, calls, margin in noiter_verdicts(problem, initial_state(config, problem)):
+        assert calls == 1
+        assert (sol.status, sol.iterations, sol.margin) == (INFEASIBLE, 1 + calls + 1, margin)
 
 
 class TestSynthesize:
@@ -130,6 +143,7 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--steps", "6"]) == 4
         assert "solver failure" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+        assert_certified_at_first_box_qp(cfg)
 
     def test_loop_shorter_than_the_abort_rule_reported(self, tmp_path, capsys):
         # two failed steps end the loop before three in a row abort it
@@ -139,6 +153,7 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--steps", "2"]) == 4
         assert "solved none of its 2 steps" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
+        assert_certified_at_first_box_qp(cfg)
 
 
 class TestCompare:
@@ -170,6 +185,23 @@ class TestMonteCarlo:
         kept = [v for v in doc["per_draw_losses"] if v is not None]
         assert doc["excluded"] == 5 - len(kept)
         assert len(doc["excluded_draws"]) == doc["excluded"]
+
+    def test_no_draw_kept_is_a_solver_failure(self, tmp_path, capsys):
+        # every state drawn from +-500 puts some agent's ball out of reach
+        doc = flagship_dict()
+        doc["sim"]["bounds"] = [-500.0, 500.0]
+        cfg = write_cfg(tmp_path, doc)
+        assert run(["montecarlo", "--config", cfg, "--out-dir", str(tmp_path), "--draws", "3"]) == 4
+        assert "solver failure: Monte Carlo excluded all of its 3 draws" in capsys.readouterr().err
+
+        def reject(name):
+            raise ValueError("not strict JSON: %s" % name)
+
+        doc = json.loads((tmp_path / "montecarlo.json").read_text(), parse_constant=reject)
+        assert (doc["draws"], doc["excluded"]) == (3, 3)
+        assert doc["loss_mean"] is None and doc["loss_worst"] is None
+        assert doc["per_draw_losses"] == [None] * 3
+        assert [rec["status"] for rec in doc["excluded_draws"]] == [INFEASIBLE] * 3
 
 
 class TestFailureModes:

@@ -24,7 +24,7 @@ from coopmpc import (
 from coopmpc import controllers
 from coopmpc.qp import INFEASIBLE, SOLVED, solve_qp
 
-from support import X0_EXP1, X0_EXP2, random_certified_problem
+from support import X0_EXP1, X0_EXP2, least_margin, noiter_verdicts, random_certified_problem, search_calls
 
 TIGHT = SolverOptions(eps_abs=1e-11)
 
@@ -118,7 +118,10 @@ class TestNoIteration:
         with pytest.raises(SolverFailure) as info:
             solve_local_noiter(flagship, 0, x_0)
         sol = info.value.solution
-        assert (info.value.status, sol.iterations) == (INFEASIBLE, 2)
+        qp = flagship.agent_operators(0).ops.condense(x_0)
+        # the exact check, the search's box QPs, then the certificate
+        assert (info.value.status, sol.iterations) == (INFEASIBLE, 1 + search_calls(qp) + 1)
+        assert sol.margin == least_margin(qp)
         assert sol.margin < 0.0
         assert str(info.value) == (
             "local solve of agent 0 finished with status infeasible "
@@ -136,6 +139,7 @@ class TestNoIteration:
                 solve_local_noiter(flagship, i, xbar[s])
             assert info.value.status == INFEASIBLE
             margins.append(info.value.solution.margin)
+        assert margins == [margin for _, _, margin in noiter_verdicts(flagship, xbar)]
         assert len(set(margins)) == 3
         with pytest.raises(SolverFailure) as info:
             solve_noiter_all(flagship, xbar)
@@ -261,11 +265,13 @@ class TestExactness:
             for kind in ("centralized", "noiter", "coop"):
                 trace = run_closed_loop(flagship, xbar0, StrategyConfig(kind=kind, iters=5), 10)
                 assert len(trace.steps) == 10
-        assert any(sol.iterations >= 3 for _, sol in solves)
+        assert any(sol.iterations >= 2 for _, sol in solves)
         for qp, sol in solves:
             assert sol.status == SOLVED and sol.primal_res == 0.0
-            # 1: the unconstrained minimizer; 2 + box QPs: the search
-            assert sol.iterations == 1 or sol.iterations >= 3
+            # 1: the unconstrained minimizer; 1 + box QPs: the search, which
+            # never leaves the reported margin to the certificate
+            assert sol.iterations == 1 or sol.iterations == 1 + search_calls(qp, flagship.solver)
+            assert sol.margin is None
             u = sol.u_stack
             assert np.all(qp.box_lo <= u) and np.all(u <= qp.box_hi)
             assert all(np.linalg.norm(b.Tmap @ u + b.tvec) <= b.radius for b in qp.terminal)

@@ -27,7 +27,7 @@ from coopmpc import (
 
 from coopmpc.qp import INFEASIBLE, MAX_ITERS
 
-from support import X0_EXP1, assemble, random_certified_problem
+from support import X0_EXP1, assemble, noiter_verdicts, random_certified_problem
 
 FLAGSHIP_HEADER = (
     "t,"
@@ -131,12 +131,22 @@ class TestClosedLoop:
 
     def test_aborts_after_repeated_failures(self, flagship):
         starved = replace(flagship, solver=SolverOptions(max_iters=10))
-        trace = run_closed_loop(
-            starved, 1e3 * np.ones(18), StrategyConfig(kind="noiter"), steps=6
-        )
+        xbar0 = 1e3 * np.ones(18)
+        trace = run_closed_loop(starved, xbar0, StrategyConfig(kind="noiter"), steps=6)
         assert trace.meta.get("aborted") is True
         assert len(trace.meta["failures"]) == 3
         assert len(trace.steps) < 6
+        # Every step fails at xbar0 on the certificate's verdict, after the
+        # search, with the least margin of the three agents.
+        verdicts = noiter_verdicts(starved, xbar0)
+        for sol, calls, margin in verdicts:
+            assert (sol.status, sol.iterations, sol.margin) == (INFEASIBLE, 1 + calls + 1, margin)
+        worst = min(range(3), key=lambda i: verdicts[i][2])
+        message = "local solve of agent %d finished with status infeasible (terminal-ball margin %.4g)" % (
+            worst,
+            verdicts[worst][2],
+        )
+        assert [f["error"] for f in trace.meta["failures"]] == [message] * 3
 
 
 class TestCsv:
@@ -239,7 +249,8 @@ class TestMonteCarlo:
         assert rep.loss_worst == pytest.approx(rep.loss_mean, abs=1e-12)
 
     def test_excluded_draws_carry_verdicts(self, flagship):
-        # A budget that ends at the certificate keeps the constrained draws short.
+        # A budget of 2 leaves the search none, so every constrained draw
+        # ends at the certificate.
         prob = replace(flagship, solver=SolverOptions(max_iters=2))
         cfg = StrategyConfig(kind="noiter")
         a = monte_carlo(prob, draws=40, bounds=(-8.0, 8.0), strategy=cfg, seed=20)

@@ -6,9 +6,10 @@ from scipy.linalg import cholesky, solve_triangular
 
 from coopmpc import DimensionMismatch, NotPD, SolverOptions, build_condensed, solve_noiter_all, solve_qp
 from coopmpc.qp import BALL_FEAS_TOL, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
-from coopmpc.qp import _box_qp, _bvls, _multiplier_search
+from coopmpc.qp import _box_qp, _bvls, _margin_bound, _multiplier_search
 
 from oracles import horizon_cost, solve_box_qp_active_set, solve_one_ball_qp_bisection
+from support import least_margin, search_calls
 
 
 def random_condensed(rng, n=2, m=1, N=3, x0_scale=1.0, lo=-4.0, hi=4.0, balls=None):
@@ -141,8 +142,13 @@ class TestSolve:
         assert np.all(sol.u_stack >= qp.box_lo) and np.all(sol.u_stack <= qp.box_hi)
 
     def test_unreachable_ball_reported(self):
-        sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=20000))
-        assert sol.status == INFEASIBLE
+        qp, opts = dead_input_qp(), SolverOptions(max_iters=20000)
+        sol = solve_qp(qp, options=opts)
+        # the first box QP's residual proves the ball out of reach, and the
+        # certificate that follows gives the verdict
+        assert search_calls(qp, opts) == 1
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 1 + 1 + 1)
+        assert sol.margin == least_margin(qp)
 
     def test_iteration_budget_status(self, rng_factory):
         rng = rng_factory(66)
@@ -197,7 +203,8 @@ class TestExactPath:
         term = tight.terminal[0]
         assert np.linalg.norm(term.Tmap @ u_free + term.tvec) > term.radius
         sol = solve_qp(tight)
-        assert sol.status == SOLVED and sol.iterations > 2
+        assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(tight))
+        assert sol.iterations > 2
         assert in_box_and_balls(tight, sol.u_stack)
         ref = solve_one_ball_qp_bisection(tight.H, tight.g, tight.box_lo, tight.box_hi, term.Tmap, term.tvec, 0.8)
         assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
@@ -205,10 +212,13 @@ class TestExactPath:
     def test_exact_check_counts_against_budget(self, rng_factory):
         qp, _ = random_condensed(rng_factory(66), x0_scale=3.0, lo=-0.5, hi=0.5)
         full = solve_qp(qp)
-        assert full.status == SOLVED and full.iterations > 2
-        budget = full.iterations
+        # the exact check, then the box QPs of the search, which finishes it
+        assert (full.status, full.iterations) == (SOLVED, 1 + search_calls(qp))
+        assert full.iterations > 1
+        # the search leaves the last iteration of a budget to the certificate
+        budget = full.iterations + 1
         exact_budget = solve_qp(qp, options=SolverOptions(max_iters=budget))
-        assert (exact_budget.status, exact_budget.iterations) == (SOLVED, budget)
+        assert (exact_budget.status, exact_budget.iterations) == (SOLVED, full.iterations)
         short = solve_qp(qp, options=SolverOptions(max_iters=budget - 1))
         assert (short.status, short.iterations) == (MAX_ITERS, budget - 1)
 
@@ -227,11 +237,16 @@ def seed65_qp(rng_factory, radius):
 
 
 class TestInfeasibilityCertificate:
-    """The BVLS checkpoint: iteration 2 of every solve past step zero."""
+    """The BVLS certificate: one iteration after a search that ends
+    without a point, the only solves that run it."""
 
     def test_dead_input_certified_at_checkpoint(self):
-        sol = solve_qp(dead_input_qp())
-        assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
+        qp = dead_input_qp()
+        sol = solve_qp(qp)
+        # the exact check, one box QP whose residual proves the ball out of
+        # reach, the certificate
+        assert search_calls(qp) == 1
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 3)
         # ||(5, 5)|| can only be reached, so the margin is 0.5 - 5 sqrt(2)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
 
@@ -254,25 +269,32 @@ class TestInfeasibilityCertificate:
             terminal_balls=[(slice(0, 2), 0.5)],
         )
         sol = solve_qp(qp)
-        assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
+        assert search_calls(qp) == 1
+        assert (sol.status, sol.iterations) == (INFEASIBLE, 3)
         assert sol.margin == pytest.approx(0.5 - 5.0 * np.sqrt(2.0), abs=1e-12)
 
     def test_short_budget_reports_no_margin(self):
         sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=1))
         assert (sol.status, sol.iterations) == (MAX_ITERS, 1)
         assert sol.margin is None
+        # a budget of 2 leaves the search none and ends at the certificate
         sol = solve_qp(dead_input_qp(), options=SolverOptions(max_iters=2))
         assert (sol.status, sol.iterations) == (INFEASIBLE, 2)
 
     def test_tight_feasible_ball_is_never_infeasible(self, rng_factory):
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         reach = 1.0 - margin
-        sol = solve_qp(seed65_qp(rng_factory, 1.01 * reach))
-        assert sol.status == SOLVED
+        qp = seed65_qp(rng_factory, 1.01 * reach)
+        sol = solve_qp(qp)
+        assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(qp))
         assert sol.iterations > 2
-        assert sol.margin == pytest.approx(0.01 * reach, rel=1e-9)
-        short = solve_qp(seed65_qp(rng_factory, 0.99 * reach))
-        assert (short.status, short.iterations) == (INFEASIBLE, 2)
+        # the search finished the solve, so the certificate never ran
+        assert sol.margin is None
+        assert least_margin(qp) == pytest.approx(0.01 * reach, rel=1e-9)
+        qp = seed65_qp(rng_factory, 0.99 * reach)
+        short = solve_qp(qp)
+        assert (short.status, short.iterations) == (INFEASIBLE, 1 + search_calls(qp) + 1)
+        assert short.margin == least_margin(qp)
         assert short.margin == pytest.approx(-0.01 * reach, rel=1e-9)
 
     def test_converged_solve_skips_certificate(self, rng_factory):
@@ -281,6 +303,17 @@ class TestInfeasibilityCertificate:
         sol = solve_qp(qp)
         assert (sol.status, sol.iterations) == (SOLVED, 1)
         assert sol.margin is None
+
+
+def seed20_draw_qps(flagship, draws=50):
+    """The centralized and local QPs of the first seed-20 Monte Carlo draws."""
+    rng = np.random.Generator(np.random.PCG64(20))
+    X0 = -8.0 + 16.0 * rng.random((draws, flagship.n))
+    for x in X0:
+        xbar = flagship.pmap.to_regrouped(x)
+        yield flagship.centralized_operators().condense(xbar)
+        for i, s in enumerate(flagship.group_slices()):
+            yield flagship.agent_operators(i).ops.condense(xbar[s])
 
 
 def in_box_and_balls(qp, u):
@@ -293,8 +326,8 @@ def in_box_and_balls(qp, u):
 
 
 class TestExactFinish:
-    """Constrained solves end with the multiplier search after the
-    certificate, which is iteration 2."""
+    """Constrained solves end with the multiplier search, which starts at
+    iteration 2, right after the exact check."""
 
     def test_one_ball_matches_bisection_oracle(self, rng_factory):
         rng = rng_factory(13)
@@ -310,8 +343,8 @@ class TestExactFinish:
             radius = reach + 0.1 * (np.linalg.norm(term.Tmap @ u_box + term.tvec) - reach)
             qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, n), radius)])
             sol = solve_qp(qp)
-            assert sol.status == SOLVED
-            assert sol.iterations > 2
+            assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(qp))
+            assert sol.iterations > 1
             assert in_box_and_balls(qp, sol.u_stack)
             ref = solve_one_ball_qp_bisection(qp.H, qp.g, qp.box_lo, qp.box_hi, term.Tmap, term.tvec, radius)
             assert np.max(np.abs(sol.u_stack - ref)) <= 1e-7
@@ -342,7 +375,8 @@ class TestExactFinish:
             qp = build_condensed(A, B, Q, P, R, N, x0, -1.0, 1.0, terminal_balls=[(slice(0, 2), radius)])
             sol = solve_qp(qp)
             assert sol.status == SOLVED
-            if sol.iterations > 2:
+            if sol.iterations > 1:
+                assert sol.iterations == 1 + search_calls(qp)
                 searched += 1
                 assert in_box_and_balls(qp, sol.u_stack)
                 reached = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
@@ -355,8 +389,8 @@ class TestExactFinish:
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         sol = solve_qp(qp)
-        assert sol.status == SOLVED
-        assert sol.iterations > 2
+        assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(qp))
+        assert sol.iterations > 1
         assert in_box_and_balls(qp, sol.u_stack)
         term = qp.terminal[0]
         norm = np.linalg.norm(term.Tmap @ sol.u_stack + term.tvec)
@@ -371,8 +405,8 @@ class TestExactFinish:
         radius = 1.01 * (1.0 - margin)
         qp = build_condensed(*args, terminal_balls=[(slice(0, 2), radius)])
         sol = solve_qp(qp)
-        assert sol.status == SOLVED
-        assert sol.iterations > 2
+        assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(qp))
+        assert sol.iterations > 1
         assert in_box_and_balls(qp, sol.u_stack)
         assert np.all(sol.u_stack[1::2] == 0.3)
         term = qp.terminal[0]
@@ -383,31 +417,26 @@ class TestExactFinish:
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         full = solve_qp(qp)
-        calls = full.iterations - 2
-        assert full.status == SOLVED and calls >= 2
-        exact = solve_qp(qp, options=SolverOptions(max_iters=full.iterations))
+        calls = full.iterations - 1
+        assert full.status == SOLVED and calls == search_calls(qp) and calls >= 2
+        # the search leaves the last iteration of a budget to the certificate
+        exact = solve_qp(qp, options=SolverOptions(max_iters=full.iterations + 1))
         assert (exact.status, exact.iterations) == (SOLVED, full.iterations)
         assert np.array_equal(exact.u_stack, full.u_stack)
-        for budget in (2, full.iterations - 1):
+        for budget in (2, full.iterations):
             short = solve_qp(qp, options=SolverOptions(max_iters=budget))
             assert (short.status, short.iterations) == (MAX_ITERS, budget)
-            assert short.margin == full.margin
+            assert short.margin == least_margin(qp)
 
     def test_flagship_draws_finish_in_few_bvls_calls(self, flagship):
         # every centralized and local QP of the first 50 seed-20 Monte
-        # Carlo draws that reaches the search
-        rng = np.random.Generator(np.random.PCG64(20))
-        X0 = -8.0 + 16.0 * rng.random((50, flagship.n))
+        # Carlo draws that the search solves
         calls = []
-        for x in X0:
-            xbar = flagship.pmap.to_regrouped(x)
-            qps = [flagship.centralized_operators().condense(xbar)]
-            qps += [flagship.agent_operators(i).ops.condense(xbar[s]) for i, s in enumerate(flagship.group_slices())]
-            for qp in qps:
-                sol = solve_qp(qp)
-                if sol.status == SOLVED and sol.iterations > 2:
-                    assert in_box_and_balls(qp, sol.u_stack)
-                    calls.append(sol.iterations - 2)
+        for qp in seed20_draw_qps(flagship):
+            sol = solve_qp(qp)
+            if sol.status == SOLVED and sol.iterations > 1:
+                assert in_box_and_balls(qp, sol.u_stack)
+                calls.append(sol.iterations - 1)
         assert len(calls) >= 40
         assert np.median(calls) <= 7 and max(calls) <= 12
 
@@ -418,8 +447,8 @@ class TestExactFinish:
         xbar = flagship.pmap.to_regrouped(X0[30])
         qp = flagship.centralized_operators().condense(xbar)
         sol = solve_qp(qp)
-        assert sol.status == SOLVED
-        assert sol.iterations > 2
+        assert (sol.status, sol.iterations) == (SOLVED, 1 + search_calls(qp))
+        assert sol.iterations > 1
         assert in_box_and_balls(qp, sol.u_stack)
         noiter, _ = solve_noiter_all(flagship, xbar)
         assert sol.objective <= qp.objective(noiter.stacked())
@@ -455,7 +484,9 @@ class TestExactFinish:
         # a search that stalls after 3 box QPs, with budget left
         monkeypatch.setattr("coopmpc.qp._multiplier_search", lambda qp, budget, tol: (None, np.zeros(1), 3))
         sol = solve_qp(qp)
-        assert (sol.status, sol.iterations) == (MAX_ITERS, 2 + 3)
+        # the exact check, the 3 box QPs and the certificate
+        assert (sol.status, sol.iterations) == (MAX_ITERS, 1 + 3 + 1)
+        assert sol.margin == least_margin(qp)
         assert sol.margin == pytest.approx(0.01 * (1.0 - margin), rel=1e-9)
         assert np.all(qp.box_lo <= sol.u_stack) and np.all(sol.u_stack <= qp.box_hi)
 
@@ -478,6 +509,67 @@ class TestExactFinish:
             if sol.status == SOLVED:
                 assert in_box_and_balls(qp, sol.u_stack)
         assert statuses == {SOLVED, MAX_ITERS}
+
+
+class TestSearchBeforeCertificate:
+    """The certificate runs only after a search that ends without a point,
+    and the search stops as soon as the residual of a point it computes
+    proves a ball out of reach."""
+
+    def test_searched_solve_never_runs_certificate(self, flagship, rng_factory, monkeypatch):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qps = [seed65_qp(rng_factory, f * (1.0 - margin)) for f in (0.99, 1.01)]
+        qps += list(seed20_draw_qps(flagship))
+        certified = []
+
+        def spy(qp):
+            certified.append(qp)
+            return ball_margins(qp)
+
+        monkeypatch.setattr("coopmpc.qp.ball_margins", spy)
+        searched = failed = 0
+        for qp in qps:
+            certified.clear()
+            sol = solve_qp(qp)
+            if sol.status == SOLVED:
+                assert certified == [] and sol.margin is None
+                searched += sol.iterations > 1
+            else:
+                assert certified == [qp] and sol.margin is not None
+                failed += 1
+        assert searched >= 41 and failed == 1 + 8
+
+    def test_iterate_bound_is_confirmed_by_certificate(self, flagship, rng_factory, monkeypatch):
+        ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
+        qps = [seed65_qp(rng_factory, 0.99 * (1.0 - margin))] + list(seed20_draw_qps(flagship))
+        proofs = []
+
+        def spy(ball, s, lo, hi):
+            bound = _margin_bound(ball, s, lo, hi)
+            proofs.append(bound < -BALL_FEAS_TOL)
+            return bound
+
+        monkeypatch.setattr("coopmpc.qp._margin_bound", spy)
+        stopped = 0
+        for qp in qps:
+            proofs.clear()
+            u, _, calls = _multiplier_search(qp, 1000, SolverOptions().eps_abs)
+            if any(proofs):
+                # the first proof ends the search, long before its budget
+                assert u is None and proofs.index(True) == len(proofs) - 1 and calls <= 6
+                assert min(bound for _, bound in ball_margins(qp)) < -BALL_FEAS_TOL
+                stopped += 1
+        assert stopped == 1 + 8
+
+    def test_infeasible_exactly_when_certificate_proves(self, flagship):
+        # the 4 draws 14, 33, 35 and 37 each have an unreachable agent ball,
+        # which the centralized QP shares
+        infeasible = 0
+        for qp in seed20_draw_qps(flagship):
+            proven = min(bound for _, bound in ball_margins(qp)) < -BALL_FEAS_TOL
+            assert solve_qp(qp).status == (INFEASIBLE if proven else SOLVED)
+            infeasible += proven
+        assert infeasible == 4 * 2
 
 
 def random_box_qp(rng, n, fixed=0.0):
