@@ -155,7 +155,14 @@ def cmd_simulate(args, cfg):
     meta = {"config": config_digest(cfg.to_dict()), "seed": seed_used, "strategy": strategy.label()}
     trace = run_closed_loop(problem, xbar0, strategy, steps, meta=meta)
     if trace.meta.get("aborted"):
-        raise SolverFailure("closed loop aborted after repeated solver failures")
+        raise SolverFailure(
+            "closed loop aborted after repeated solver failures:"
+            + "".join(
+                "\n  t=%d %s (terminal-ball margin %s)"
+                % (f["t"], f["status"], "n/a" if f["margin"] is None else "%.4g" % f["margin"])
+                for f in trace.meta["failures"]
+            )
+        )
     if not trace.steps:
         raise SolverFailure("closed loop solved none of its %d steps" % steps)
     trace_path = _write(args.out_dir, "trace.csv", trace_to_csv(trace))

@@ -82,8 +82,11 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
     strategy is also solved at every visited state and its costs logged
     alongside.
 
-    Solver failures are logged; the run aborts after three consecutive
-    ones and the truncated trace is returned with meta["aborted"] set.
+    Solver failures are logged in meta["failures"], each with its step t,
+    error message, status and least terminal-ball margin (None when the
+    solve stopped before the certificate ran); the run aborts after three
+    consecutive ones and the truncated trace is returned with
+    meta["aborted"] set.
     """
     schedule = strategy if isinstance(strategy, list) else [(0, strategy)]
     schedule = sorted(schedule, key=lambda sc: sc[0])
@@ -103,7 +106,7 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
             seqs, info = solve_strategy(problem, xbar, cfg, previous=previous)
         except SolverFailure as exc:
             failures += 1
-            failure_log.append({"t": t, "error": str(exc)})
+            failure_log.append({"t": t, "error": str(exc), "status": exc.status, "margin": exc.solution.margin})
             if failures >= MAX_CONSECUTIVE_FAILURES:
                 trace.meta["aborted"] = True
                 trace.meta["failures"] = failure_log
@@ -207,6 +210,11 @@ class ComparisonRow:
     cc_loss: float
 
 
+def _loss(value, centralized):
+    """Loss of a cost relative to the centralized one; 0.0 when that is 0."""
+    return (value - centralized) / centralized if centralized else 0.0
+
+
 def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps=3):
     """Single-instant comparison of the three strategies.
 
@@ -215,7 +223,8 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
     resulting state.  The cooperative runs all start from the shifted
     no-iteration sequences of the last warm-up instant, so the row for p
     iterations is the p-th iterate of one deterministic run.  Losses are
-    relative to the centralized row.
+    relative to the centralized row, and 0.0 where its cost is 0 (at the
+    origin every strategy plans zero inputs).
     """
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
     previous = None
@@ -236,26 +245,10 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
         )
         for p in sorted(iter_counts, reverse=True):
             gc, cc = evaluate_cost(problem, xbar, history[p - 1])
-            rows.append(
-                ComparisonRow(
-                    "coop_%d" % p,
-                    gc,
-                    (gc - cen_gc) / cen_gc,
-                    cc,
-                    (cc - cen_cc) / cen_cc if cen_cc else 0.0,
-                )
-            )
+            rows.append(ComparisonRow("coop_%d" % p, gc, _loss(gc, cen_gc), cc, _loss(cc, cen_cc)))
     ni_seqs, _ = solve_strategy(problem, xbar, noiter_cfg)
     ni_gc, ni_cc = evaluate_cost(problem, xbar, ni_seqs)
-    rows.append(
-        ComparisonRow(
-            "noiter",
-            ni_gc,
-            (ni_gc - cen_gc) / cen_gc,
-            ni_cc,
-            (ni_cc - cen_cc) / cen_cc if cen_cc else 0.0,
-        )
-    )
+    rows.append(ComparisonRow("noiter", ni_gc, _loss(ni_gc, cen_gc), ni_cc, _loss(ni_cc, cen_cc)))
     return rows, xbar
 
 

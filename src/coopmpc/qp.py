@@ -32,8 +32,11 @@ multipliers the Lagrangian over the box is a strictly convex box QP, which
 a primal active set on its Cholesky factor solves exactly (`_box_qp`), and
 Newton's method on the secular equation of each ball (Moré & Sorensen,
 SIAM J. Sci. Stat. Comput. 1983) finds the multipliers: a median of 5 box
-QPs, at most 11, on the flagship's Monte Carlo draws.  The point it
-returns lies in the box and in every ball with no slack.
+QPs, at most 11, on the flagship's Monte Carlo draws.  Each box QP factors
+the Lagrangian Hessian once; its active-set steps factor their free
+blocks only when the clipped unconstrained minimizer holds a bound, and
+the Newton Jacobian reuses the factor of the final free block.  The point
+it returns lies in the box and in every ball with no slack.
 
 The box (lo <= hi) is never empty, so only the balls can make the problem
 infeasible.  The residual of any u in the box gives a direction d, and the
@@ -287,32 +290,40 @@ def _bvls(A, b, lo, hi):
 
 
 def _box_qp(H, c, lo, hi, L):
-    """Minimizer of 0.5 u'Hu + c'u over the box [lo, hi], and its free mask.
+    """Minimizer of 0.5 u'Hu + c'u over the box [lo, hi], its free mask,
+    and the lower Cholesky factor K of H[free, free].
 
     H is positive definite and L its lower Cholesky factor.  A primal
     active set (Nocedal & Wright, Numerical Optimization, 2006, 16.5)
     starts from the unconstrained minimizer clipped onto the box, holding
-    every input that lies on a bound there.  Each step minimizes over the
-    free inputs with the held ones fixed and moves towards that point
-    until a free input meets a bound, which is then held.  At the
-    minimizer of a step, the held input whose gradient points into the box
-    by the most beyond its rounding error is released; when there is none
-    the point satisfies the KKT conditions.  Inputs with lo == hi are never
-    released, so they sit exactly at their value.  A guard of 4 n steps
-    ends a cycle that rounding could cause; BVLS on ||L^T u + L^-1 c|| then
-    finishes the solve, as it does when the factor of a step fails.
+    every input that lies on a bound there.  When that holds none, the
+    minimizer is the answer and K is L itself.  Otherwise each step
+    minimizes over the free inputs with the held ones fixed and moves
+    towards that point until a free input meets a bound, which is then
+    held.  At the minimizer of a step, the held input whose gradient
+    points into the box by the most beyond its rounding error is released;
+    when there is none the point satisfies the KKT conditions, and K is
+    the factor the last step solved with: only its lower triangle is the
+    factor.  Inputs with lo == hi are never released, so they sit exactly
+    at their value.  A guard of 4 n steps ends a cycle that rounding could
+    cause; BVLS on ||L^T u + L^-1 c|| then finishes the solve, as it does
+    when the factor of a step fails.  K is None then, and when every input
+    is held.
     """
     u = np.clip(dpotrs(L, -c, lower=True)[0], lo, hi)
     held = (u == lo) | (u == hi)
+    if not held.any():
+        return u, ~held, L
     movable = lo < hi
     rounding = len(c) * np.finfo(float).eps
     for _ in range(4 * len(c)):
         free = np.flatnonzero(~held)
+        K = None
         if free.size:
             fixed = np.flatnonzero(held)
             uf = u[free]
             rhs = -(c[free] + H[free[:, None], fixed] @ u[fixed])
-            target, info = dposv(H[free[:, None], free], rhs, lower=1)[1:]
+            K, target, info = dposv(H[free[:, None], free], rhs, lower=1)
             if info:
                 break
             out = (target < lo[free]) | (target > hi[free])
@@ -332,9 +343,9 @@ def _box_qp(H, c, lo, hi, L):
         pull[~(held & movable)] = 0.0
         k = np.argmax(pull)
         if pull[k] <= 0.0:
-            return u, ~held
+            return u, ~held, K
         held[k] = False
-    return _bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi)
+    return (*_bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi), None)
 
 
 def _margin_bound(ball, s, lo, hi):
@@ -385,12 +396,12 @@ def _multiplier_search(qp, budget, tol):
     rho_b = r_b - tol/2 the middle of the band [r_b - tol, r_b] the
     search stops in, so rounding cannot leave it just outside a ball.
     The Jacobian comes from the Cholesky factor of the free-set block of
-    the Lagrangian Hessian.  One ball keeps a bracket on lam and bisects
-    (or doubles lam, above any point found inside) when a Newton step
-    leaves it.  Several balls take projected Newton steps on lam >= 0,
-    halved until the dual function provably does not fall, along the
-    Jacobi-scaled dual gradient when the Newton step is no ascent
-    direction.
+    the Lagrangian Hessian, which `_box_qp` returns.  One ball keeps a
+    bracket on lam and bisects (or doubles lam, above any point found
+    inside) when a Newton step leaves it.  Several balls take projected
+    Newton steps on lam >= 0, halved until the dual function provably does
+    not fall, along the Jacobi-scaled dual gradient when the Newton step
+    is no ascent direction.
 
     Returns (u, lam, calls): u lies in the box and in every ball with no
     slack, and every ball with a positive multiplier is met within tol.
@@ -416,11 +427,14 @@ def _multiplier_search(qp, budget, tol):
         """(u, n, J): the Lagrangian minimizer, its ball norms and the
         Jacobian J_cb = d(1/n_c)/d lam_b = 2 z_c.z_b / n_c^3 with
         z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian.
-        None once some lam_b is past scale_b / eps, where H is lost in
-        rounding, or a factor fails: balls that share inputs but no point
-        drive lam there.  None too when the point's residual proves a ball
-        out of reach (`_margin_bound`), as it soon does on an infeasible
-        QP, where lam grows towards the least-norm point."""
+        The Hessian is factored once, for the box QP, which hands back K;
+        only after its BVLS fallback, which has no factor, is the free
+        block factored here.  None once some lam_b is past scale_b / eps,
+        where H is lost in rounding, or a factor fails: balls that share
+        inputs but no point drive lam there.  None too when the point's
+        residual proves a ball out of reach (`_margin_bound`), as it soon
+        does on an infeasible QP, where lam grows towards the least-norm
+        point."""
         nonlocal calls
         if np.any(lam > lost):
             return None
@@ -429,7 +443,7 @@ def _multiplier_search(qp, budget, tol):
         L, info = dpotrf(Hl, lower=1) if lam.any() else (qp.ops.H_chol, 0)
         if info:
             return None
-        u, free = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
+        u, free, K = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
         s = [Tb @ u + tb for Tb, tb in zip(T, t)]
         n = np.array([sqrt(sb @ sb) for sb in s])
         for sb, nb, ball in zip(s, n, qp.terminal):
@@ -438,9 +452,10 @@ def _multiplier_search(qp, budget, tol):
         # One column per ball; the reshape keeps the shape when there is none.
         Z = np.array([Tb.T @ sb for Tb, sb in zip(T, s)]).reshape(len(s), len(u)).T[free]
         if free.any():
-            K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
-            if info:
-                return None
+            if K is None:
+                K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
+                if info:
+                    return None
             Z = dtrtrs(K, Z, lower=1)[0]
         return u, n, 2.0 * (Z.T @ Z) / n[:, None] ** 3
 

@@ -1,6 +1,7 @@
 """Command-line entry points, exit codes, output artifacts."""
 
 import json
+import re
 
 import pytest
 
@@ -141,7 +142,12 @@ class TestSimulate:
         doc["solver"]["max_iters"] = 40
         cfg = write_cfg(tmp_path, doc)
         assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--steps", "6"]) == 4
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        # one line per failed step, with its status and terminal-ball margin
+        failures = re.findall(r"t=(\d+) (\w+) \(terminal-ball margin (\S+)\)", err)
+        assert [(t, status) for t, status, _ in failures] == [(str(t), "infeasible") for t in range(3)]
+        assert all(float(margin) < 0.0 for _, _, margin in failures)
         assert not (tmp_path / "trace.csv").exists()
         assert_certified_at_first_box_qp(cfg)
 
@@ -169,6 +175,15 @@ class TestCompare:
         methods = [ln.split(",")[0] for ln in lines[1:]]
         assert methods == ["centralized", "coop_5", "coop_4", "coop_3", "coop_2", "coop_1", "noiter"]
         assert "wrote" in capsys.readouterr().out
+
+    def test_zero_state_has_zero_losses(self, tmp_path):
+        doc = flagship_dict()
+        doc["sim"]["x0"] = [0.0] * 18
+        cfg = write_cfg(tmp_path, doc)
+        assert run(["compare", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "compare.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 7
+        assert all(float(ln.split(",")[2]) == 0.0 and float(ln.split(",")[4]) == 0.0 for ln in lines)
 
 
 class TestMonteCarlo:

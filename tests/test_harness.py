@@ -147,6 +147,7 @@ class TestClosedLoop:
             verdicts[worst][2],
         )
         assert [f["error"] for f in trace.meta["failures"]] == [message] * 3
+        assert [(f["status"], f["margin"]) for f in trace.meta["failures"]] == [(INFEASIBLE, verdicts[worst][2])] * 3
 
 
 class TestCsv:
@@ -213,6 +214,12 @@ class TestCompare:
         assert coop["coop_3"] <= coop["coop_2"] + 1e-9 * (1.0 + coop["coop_2"])
         assert coop["coop_2"] <= coop["coop_1"] + 1e-9 * (1.0 + coop["coop_1"])
         assert xbar.shape == (prob.n,)
+
+    def test_zero_centralized_cost_gives_zero_losses(self, flagship):
+        # at the origin every strategy plans zero inputs and every cost is 0
+        rows, xbar = compare_strategies(flagship, np.zeros(flagship.n), iter_counts=(1, 2), warmup_steps=1)
+        assert not xbar.any()
+        assert [(r.gc, r.gc_loss, r.cc, r.cc_loss) for r in rows] == [(0.0, 0.0, 0.0, 0.0)] * 4
 
     def test_csv_header(self, rng_factory):
         rng = rng_factory(83)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 from coopmpc import DimensionMismatch, NotPD, SolverOptions, build_condensed, solve_noiter_all, solve_qp
+from coopmpc import qp as qp_module
 from coopmpc.qp import BALL_FEAS_TOL, INFEASIBLE, MAX_ITERS, SOLVED, ball_margins
 from coopmpc.qp import _box_qp, _bvls, _margin_bound, _multiplier_search
 
@@ -591,14 +593,14 @@ class TestBoxQp:
         rng = rng_factory(31)
         for _ in range(40):
             H, c, lo, hi, L = random_box_qp(rng, int(rng.integers(1, 9)))
-            u, _ = _box_qp(H, c, lo, hi, L)
+            u, _, _ = _box_qp(H, c, lo, hi, L)
             assert np.max(np.abs(u - solve_box_qp_active_set(H, c, lo, hi))) <= 1e-9
 
     def test_no_worse_than_bvls_and_kkt(self, rng_factory):
         rng = rng_factory(32)
         for _ in range(40):
             H, c, lo, hi, L = random_box_qp(rng, int(rng.integers(8, 25)), fixed=0.2)
-            u, free = _box_qp(H, c, lo, hi, L)
+            u, free, _ = _box_qp(H, c, lo, hi, L)
             ref, _ = _bvls(L.T, solve_triangular(L, -c, lower=True), lo, hi)
             f, f_ref = (0.5 * x @ H @ x + c @ x for x in (u, ref))
             assert f <= f_ref + 1e-12 * abs(f_ref)
@@ -633,6 +635,83 @@ class TestBoxQp:
 
         monkeypatch.setattr("coopmpc.qp.dposv", fake)
         monkeypatch.setattr("coopmpc.qp._bvls", bvls)
-        u, _ = _box_qp(H, c, lo, hi, L)
+        u, _, _ = _box_qp(H, c, lo, hi, L)
         assert len(calls) == 1
         assert np.max(np.abs(u - solve_box_qp_active_set(H, c, lo, hi))) <= 1e-9
+
+    def test_returns_factor_of_free_block(self, rng_factory):
+        rng = rng_factory(34)
+        held_seen = 0
+        for _ in range(40):
+            H, c, lo, hi, L = random_box_qp(rng, int(rng.integers(1, 13)), fixed=0.2)
+            u0 = dpotrs(L, -c, lower=True)[0]
+            clipped = np.clip(u0, lo, hi)
+            u, free, K = _box_qp(H, c, lo, hi, L)
+            if not np.any((clipped == lo) | (clipped == hi)):
+                assert K is L
+            elif free.any():
+                K = np.tril(K)
+                block = H[np.ix_(free, free)]
+                assert np.max(np.abs(K @ K.T - block)) <= 1e-12 * np.max(np.abs(block))
+                held_seen += 1
+            else:
+                assert K is None
+            # a box around the unconstrained minimizer holds no bound
+            u, free, K = _box_qp(H, c, u0 - 1.0, u0 + 1.0, L)
+            assert free.all() and K is L and np.array_equal(u, u0)
+        assert held_seen >= 20
+
+    def test_each_box_qp_factors_once(self, flagship, monkeypatch):
+        # On the QPs of the first 50 seed-20 draws, dpotrf runs once per
+        # box QP with lam > 0, on its Lagrangian Hessian (lam = 0 reads the
+        # cached factor of H), and never for the Newton Jacobian, which
+        # reuses the factor the box QP returns.  A box QP whose clipped
+        # minimizer holds no bound runs no dposv.
+        events = []
+
+        def counted(name):
+            fn = getattr(qp_module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(qp_module, name, wrapper)
+
+        counted("dpotrf")
+        counted("dposv")
+        box_qp = qp_module._box_qp
+        solving = None
+
+        def box(H, c, lo, hi, L):
+            u0 = np.clip(dpotrs(L, -c, lower=True)[0], lo, hi)
+            holds = bool(np.any((u0 == lo) | (u0 == hi)))
+            events.append(("box", L is not solving.ops.H_chol, holds))
+            out = box_qp(H, c, lo, hi, L)
+            events.append("end")
+            return out
+
+        monkeypatch.setattr(qp_module, "_box_qp", box)
+        positive = unheld = 0
+        for solving in seed20_draw_qps(flagship):
+            events.clear()
+            solve_qp(solving)
+            pending, inside = 0, None
+            for event in events:
+                if event == "dpotrf":
+                    assert inside is None
+                    pending += 1
+                elif event == "dposv":
+                    assert inside is not None
+                    inside += 1
+                elif event == "end":
+                    assert holds or inside == 0
+                    inside = None
+                else:
+                    _, lam_positive, holds = event
+                    assert pending == int(lam_positive)
+                    positive += lam_positive
+                    unheld += not holds
+                    pending, inside = 0, 0
+            assert pending == 0
+        assert positive >= 500 and unheld >= 400
