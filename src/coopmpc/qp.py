@@ -289,13 +289,14 @@ def _bvls(A, b, lo, hi):
     return np.clip(fit.x, lo, hi), (fit.active_mask == 0) & (hi > lo)
 
 
-def _box_qp(H, c, lo, hi, L):
+def _box_qp(H, c, lo, hi, L, start=None):
     """Minimizer of 0.5 u'Hu + c'u over the box [lo, hi], its free mask,
     and the lower Cholesky factor K of H[free, free].
 
     H is positive definite and L its lower Cholesky factor.  A primal
     active set (Nocedal & Wright, Numerical Optimization, 2006, 16.5)
-    starts from the unconstrained minimizer clipped onto the box, holding
+    starts from the unconstrained minimizer -H^-1 c (`start` when the
+    caller has it, else solved from L) clipped onto the box, holding
     every input that lies on a bound there.  When that holds none, the
     minimizer is the answer and K is L itself.  Otherwise each step
     minimizes over the free inputs with the held ones fixed and moves
@@ -310,7 +311,7 @@ def _box_qp(H, c, lo, hi, L):
     when the factor of a step fails.  K is None then, and when every input
     is held.
     """
-    u = np.clip(dpotrs(L, -c, lower=True)[0], lo, hi)
+    u = np.clip(dpotrs(L, -c, lower=True)[0] if start is None else start, lo, hi)
     held = (u == lo) | (u == hi)
     if not held.any():
         return u, ~held, L
@@ -384,7 +385,7 @@ def ball_margins(qp):
     return out
 
 
-def _multiplier_search(qp, budget, tol):
+def _multiplier_search(qp, budget, tol, u_free=None):
     """Exact finish by a search over the ball multipliers.
 
     For multipliers lam >= 0 on ||T_b u + t_b||^2 <= r_b^2 the Lagrangian
@@ -439,11 +440,15 @@ def _multiplier_search(qp, budget, tol):
         if np.any(lam > lost):
             return None
         calls += 1
-        Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, TtT))
-        L, info = dpotrf(Hl, lower=1) if lam.any() else (qp.ops.H_chol, 0)
-        if info:
-            return None
-        u, free, K = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
+        if lam.any():
+            Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, TtT))
+            L, info = dpotrf(Hl, lower=1)
+            if info:
+                return None
+            u, free, K = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
+        else:
+            Hl = H
+            u, free, K = _box_qp(H, g, lo, hi, qp.ops.H_chol, u_free)
         s = [Tb @ u + tb for Tb, tb in zip(T, t)]
         n = np.array([sqrt(sb @ sb) for sb in s])
         for sb, nb, ball in zip(s, n, qp.terminal):
@@ -562,7 +567,7 @@ def solve_qp(qp, options=None):
     iterations, margin, status = 1, None, MAX_ITERS
     if opts.max_iters > 1:
         # The search leaves one iteration of the budget for the certificate.
-        found, lam, calls = _multiplier_search(qp, opts.max_iters - 2, opts.eps_abs)
+        found, lam, calls = _multiplier_search(qp, opts.max_iters - 2, opts.eps_abs, u)
         iterations += calls
         if found is not None:
             grad = qp.H @ found + qp.g

@@ -484,7 +484,7 @@ class TestExactFinish:
         ((margin, _),) = ball_margins(seed65_qp(rng_factory, 1.0))
         qp = seed65_qp(rng_factory, 1.01 * (1.0 - margin))
         # a search that stalls after 3 box QPs, with budget left
-        monkeypatch.setattr("coopmpc.qp._multiplier_search", lambda qp, budget, tol: (None, np.zeros(1), 3))
+        monkeypatch.setattr("coopmpc.qp._multiplier_search", lambda qp, budget, tol, u_free=None: (None, np.zeros(1), 3))
         sol = solve_qp(qp)
         # the exact check, the 3 box QPs and the certificate
         assert (sol.status, sol.iterations) == (MAX_ITERS, 1 + 3 + 1)
@@ -683,11 +683,11 @@ class TestBoxQp:
         box_qp = qp_module._box_qp
         solving = None
 
-        def box(H, c, lo, hi, L):
+        def box(H, c, lo, hi, L, start=None):
             u0 = np.clip(dpotrs(L, -c, lower=True)[0], lo, hi)
             holds = bool(np.any((u0 == lo) | (u0 == hi)))
             events.append(("box", L is not solving.ops.H_chol, holds))
-            out = box_qp(H, c, lo, hi, L)
+            out = box_qp(H, c, lo, hi, L, start)
             events.append("end")
             return out
 
