@@ -19,7 +19,7 @@ from .controllers import (
     solve_cooperative,
     solve_strategy,
 )
-from .errors import SolverFailure
+from .errors import DimensionMismatch, SolverFailure
 
 MAX_CONSECUTIVE_FAILURES = 3
 
@@ -224,8 +224,11 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
     no-iteration sequences of the last warm-up instant, so the row for p
     iterations is the p-th iterate of one deterministic run.  Losses are
     relative to the centralized row, and 0.0 where its cost is 0 (at the
-    origin every strategy plans zero inputs).
+    origin every strategy plans zero inputs).  Every iteration count must
+    be at least 1, as for the cooperative strategy itself.
     """
+    if any(p < 1 for p in iter_counts or ()):
+        raise DimensionMismatch("cooperative iteration counts must be >= 1, got %r" % (tuple(iter_counts),))
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
     previous = None
     noiter_cfg = StrategyConfig(kind="noiter")

@@ -29,14 +29,22 @@ set is empty; near the origin of a regulated loop they are the common case.
 A solve whose unconstrained minimizer is infeasible next finishes exactly
 with a search over the ball multipliers (`_multiplier_search`).  For fixed
 multipliers the Lagrangian over the box is a strictly convex box QP, which
-a primal active set on its Cholesky factor solves exactly (`_box_qp`), and
-Newton's method on the secular equation of each ball (Moré & Sorensen,
-SIAM J. Sci. Stat. Comput. 1983) finds the multipliers: a median of 5 box
-QPs, at most 11, on the flagship's Monte Carlo draws.  Each box QP factors
-the Lagrangian Hessian once; its active-set steps factor their free
-blocks only when the clipped unconstrained minimizer holds a bound, and
-the Newton Jacobian reuses the factor of the final free block.  The point
-it returns lies in the box and in every ball with no slack.
+a primal active set on its Cholesky factor solves exactly (`_box_qp`).
+The multipliers solve the secular equation of each ball (Moré & Sorensen,
+SIAM J. Sci. Stat. Comput. 1983).  After each box QP the search solves
+those equations exactly on that point's free set: with the held inputs
+fixed, the ball residuals at other multipliers follow in closed form
+(`_free_set_model`), so Newton's method runs to convergence there without
+a box QP, and the next box QP confirms the multipliers or changes the
+free set.  Where that step is not finite, is zero or does not raise the
+dual function, the linearised Newton step is taken instead.  A searched
+solve takes a median of 2 box QPs, at most 5, on the flagship's 200
+Monte Carlo draws.  Each box QP factors the Lagrangian Hessian once; its
+active-set steps factor their free blocks only when the clipped
+unconstrained minimizer holds a bound, and the free-set model reuses the
+factor of the final free block.  The point it returns lies in the box
+and in every ball with no slack, and its multipliers are reported with
+it.
 
 The box (lo <= hi) is never empty, so only the balls can make the problem
 infeasible.  The residual of any u in the box gives a direction d, and the
@@ -60,7 +68,7 @@ from math import sqrt
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgesv, dposv, dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatch, NotPD
 
@@ -69,6 +77,8 @@ MAX_ITERS = "max_iters"
 INFEASIBLE = "infeasible"
 
 BALL_FEAS_TOL = 1e-8
+# Newton steps of one free-set secular solve; it converges quadratically.
+_SECULAR_STEPS = 30
 
 
 @dataclass(eq=False)
@@ -191,6 +201,21 @@ class HorizonOperators:
             self.balls.append((_frozen(Gamma[rows[-1], :]), float(radius), slice(start, start + len(idx))))
             start += len(idx)
         self._tvec_x = _frozen(Phi[np.concatenate(rows), :] if rows else np.zeros((0, n)))
+        # What the multiplier search needs of the balls: their stacked maps,
+        # the 0/1 matrix E with E[i, b] = 1 where stacked row i belongs to
+        # ball b, each T^T T, and the
+        # multipliers at which 2 lam T^T T weighs as much as H (for
+        # doubling; the floor keeps it finite for a ball no input moves) and
+        # past which H is lost in rounding.
+        self.ball_map = _frozen(Gamma[np.concatenate(rows), :] if rows else np.zeros((0, N * m)))
+        self.ball_indicator = _frozen(np.repeat(np.eye(len(rows)), [len(idx) for idx in rows], axis=0))
+        self.ball_gram = _frozen(np.array([T.T @ T for T, _, _ in self.balls]).reshape(len(rows), N * m, N * m))
+        eps = np.finfo(float).eps
+        trace_H = np.trace(self.H)
+        self.ball_scale = _frozen(
+            trace_H / (2.0 * np.maximum([np.trace(A) for A in self.ball_gram], eps * trace_H))
+        )
+        self.ball_lost = _frozen(self.ball_scale / eps)
 
     def condense(self, x0):
         """The CondensedQp at initial state x0."""
@@ -273,6 +298,11 @@ class QpSolution:
     # reached the certificate.  None on a SOLVED result, which never runs
     # it, and when the solve stopped at the exact check or has no ball.
     margin: float = None
+    # Multiplier of each ball at a SOLVED point: zeros after the exact
+    # check, the search's multipliers otherwise, so the optimal objective
+    # changes with radius r_b at the rate -2 r_b lam_b.  None on a failed
+    # solve.
+    lam: np.ndarray = None
 
 
 def _bvls(A, b, lo, hi):
@@ -385,87 +415,193 @@ def ball_margins(qp):
     return out
 
 
+def _residual_response(T, free, K):
+    """G = Y^T Y with Y = K^-1 T_F^T: how the stacked ball residuals
+    T u + t answer a change of the multipliers when only the inputs in
+    `free` move.  K is the lower Cholesky factor of the free block of the
+    Lagrangian Hessian; G is zero when no input is free."""
+    if not free.any():
+        return np.zeros((len(T), len(T)))
+    Y = dtrtrs(K, T[:, free].T, lower=1)[0]
+    return Y.T @ Y
+
+
+def _free_set_model(G, E, s):
+    """The secular terms at multipliers moved from a point, with its held
+    inputs fixed and its free set kept.
+
+    s holds the point's stacked ball residuals, G their response
+    (`_residual_response`) and E the 0/1 matrix of the ball of each row.
+    The returned function of a multiplier step (one entry per ball) gives
+    (s(mu), n, J): the residuals s(mu) = (I + 2 G D)^-1 s, with D = diag(E
+    step) repeating each ball's step over its rows, their ball norms n and
+    the Jacobian J_cb = d(1/n_c)/d mu_b = 2 s_c.P_cb s_b / n_c^3 with
+    P = (I + 2 G D)^-1 G.  It gives None where I + 2 G D is singular (or,
+    for one ball, not positive definite), the result is not finite or a
+    residual vanishes.  With one ball D is a multiple of I, so one
+    eigendecomposition G = V diag(gam) V^T gives every step in O(Sum n_b):
+    s(mu) = V diag(1 / (1 + 2 step gam)) V^T s.  With several balls each
+    step solves the Sum n_b system with dgesv.
+    """
+    if E.shape[1] == 1:
+        gam, V = np.linalg.eigh(G)
+        c = V.T @ s
+
+        def moved(step):
+            d = 1.0 + 2.0 * step[0] * gam
+            if not (d > 0.0).all():
+                return None
+            w = c / d
+            n = sqrt(w @ w)
+            if not 0.0 < n < np.inf:
+                return None
+            return V @ w, np.array([n]), np.array([[2.0 * ((gam * w) @ (w / d)) / n**3]])
+
+        return moved
+
+    eye, rhs = np.eye(len(s)), np.column_stack([s, G])
+
+    def moved(step):
+        _, _, X, info = dgesv(eye + 2.0 * G * (E @ step), rhs)
+        if info or not np.isfinite(X).all():
+            return None
+        s_mu, P = X[:, 0], X[:, 1:]
+        n = np.sqrt((s_mu * s_mu) @ E)
+        if not (n > 0.0).all():
+            return None
+        S = E * s_mu[:, None]
+        return s_mu, n, 2.0 * (S.T @ P @ S) / n[:, None] ** 3
+
+    return moved
+
+
 def _multiplier_search(qp, budget, tol, u_free=None):
     """Exact finish by a search over the ball multipliers.
 
     For multipliers lam >= 0 on ||T_b u + t_b||^2 <= r_b^2 the Lagrangian
     minimizer over the box is the strictly convex box QP with Hessian
     H + 2 sum_b lam_b T_b^T T_b and linear term g + 2 sum_b lam_b T_b^T t_b,
-    which `_box_qp` solves exactly, in the box, from its Cholesky factor.
-    Newton's method drives the secular residuals 1/||T_b u + t_b|| - 1/rho_b
-    (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983) to zero, with
-    rho_b = r_b - tol/2 the middle of the band [r_b - tol, r_b] the
-    search stops in, so rounding cannot leave it just outside a ball.
-    The Jacobian comes from the Cholesky factor of the free-set block of
-    the Lagrangian Hessian, which `_box_qp` returns.  One ball keeps a
-    bracket on lam and bisects (or doubles lam, above any point found
-    inside) when a Newton step leaves it.  Several balls take projected
-    Newton steps on lam >= 0, halved until the dual function provably does
-    not fall, along the Jacobi-scaled dual gradient when the Newton step
-    is no ascent direction.
+    which `_box_qp` solves exactly, in the box, from its Cholesky factor;
+    at lam = 0 it starts from `u_free`, the unconstrained minimizer, when
+    the caller has it.  The search drives the secular residuals
+    1/||T_b u + t_b|| - 1/rho_b (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 1983) to zero, with rho_b = r_b - tol/2 the middle of the band
+    [r_b - tol, r_b] the search stops in, so rounding cannot leave it just
+    outside a ball.
+
+    After each box QP it solves the secular equations exactly on that
+    point's free set.  With the held inputs fixed and the free set F
+    kept, the stacked residuals s = T u + t at multipliers mu are
+    s(mu) = (I + 2 G D(mu - lam))^-1 s(lam), where G = Y^T Y with
+    Y = K^-1 T_F^T, K the Cholesky factor of the free block of the
+    Hessian that `_box_qp` returns, and D repeats each ball's entry over
+    its rows (`_residual_response`, `_free_set_model`).  Newton's method
+    on that model, with Jacobian 2 S^T P S / n^3 (S holds each ball's
+    residual in its own column) and P = (I + 2 G D)^-1 G, runs to
+    convergence at no box QP: one eigendecomposition serves every step
+    for one ball, one dgesv on a Sum n_b system makes each step for
+    several.  Its first step, at D = 0, is the linearised Newton step.
+    The next box QP confirms the multipliers it finds or changes the free
+    set.  The linearised step is taken instead whenever the model's step
+    is not finite, is zero or is no ascent direction of the dual function.
+
+    One ball keeps a bracket on lam and bisects (or doubles lam, above any
+    point found inside) when a step leaves it.  Several balls take
+    projected steps on lam >= 0, halved until the dual function provably
+    does not fall, along the Jacobi-scaled dual gradient when neither
+    Newton step is an ascent direction.
 
     Returns (u, lam, calls): u lies in the box and in every ball with no
     slack, and every ball with a positive multiplier is met within tol.
     u is None when `budget` box QPs did not reach such a point, when the
     search stalled, or when a point it computed proved a ball out of reach.
     """
+    ops = qp.ops
     H, g, lo, hi = qp.H, qp.g, qp.box_lo, qp.box_hi
-    T = [ball.Tmap for ball in qp.terminal]
-    t = [ball.tvec for ball in qp.terminal]
+    T, E, scale, lost = ops.ball_map, ops.ball_indicator, ops.ball_scale, ops.ball_lost
+    t = np.concatenate([np.zeros(0)] + [ball.tvec for ball in qp.terminal])
     r = np.array([ball.radius for ball in qp.terminal])
     rho = r - 0.5 * tol
-    TtT = [Tb.T @ Tb for Tb in T]
-    Ttt = np.array([Tb.T @ tb for Tb, tb in zip(T, t)])
-    # Multiplier at which 2 lam T^T T weighs as much as H, for doubling; the
-    # floor keeps it finite for a ball that no input moves.
-    eps = np.finfo(float).eps
-    trace_H = np.trace(H)
-    scale = trace_H / (2.0 * np.maximum([np.trace(A) for A in TtT], eps * trace_H))
-    lost = scale / eps
+    Ttt = E.T @ (T * t[:, None])
     calls = 0
 
+    def norms(s):
+        return np.sqrt((s * s) @ E)
+
+    def jacobian(s, n, G):
+        """J_cb = d(1/n_c)/d mu_b = 2 s_c.G_cb s_b / n_c^3 at the point; a
+        ball whose residual vanishes gets a zero row."""
+        S = E * s[:, None]
+        return 2.0 * (S.T @ G @ S) * (1.0 / np.where(n > 0.0, n, np.inf))[:, None] ** 3
+
     def point(lam):
-        """(u, n, J): the Lagrangian minimizer, its ball norms and the
-        Jacobian J_cb = d(1/n_c)/d lam_b = 2 z_c.z_b / n_c^3 with
-        z_b = K^-1 (T_b^T s_b)_F, K K^T the free block of the Hessian.
-        The Hessian is factored once, for the box QP, which hands back K;
-        only after its BVLS fallback, which has no factor, is the free
-        block factored here.  None once some lam_b is past scale_b / eps,
-        where H is lost in rounding, or a factor fails: balls that share
-        inputs but no point drive lam there.  None too when the point's
-        residual proves a ball out of reach (`_margin_bound`), as it soon
-        does on an infeasible QP, where lam grows towards the least-norm
-        point."""
+        """(u, s, n, G, J): the Lagrangian minimizer, its stacked ball
+        residuals and their norms, the free-set response G of the residuals
+        and the Jacobian of the secular residuals there.  The Hessian is
+        factored once, for the box QP, which hands back K; only after its
+        BVLS fallback, which has no factor, is the free block factored
+        here.  None once some lam_b is past lost_b, where H is lost in
+        rounding, or a factor fails: balls that share inputs but no point
+        drive lam there.  None too when the point's residual proves a ball
+        out of reach (`_margin_bound`), as it soon does on an infeasible
+        QP, where lam grows towards the least-norm point."""
         nonlocal calls
         if np.any(lam > lost):
             return None
         calls += 1
         if lam.any():
-            Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, TtT))
+            Hl = H + 2.0 * sum(lb * A for lb, A in zip(lam, ops.ball_gram))
             L, info = dpotrf(Hl, lower=1)
             if info:
                 return None
             u, free, K = _box_qp(Hl, g + 2.0 * lam @ Ttt, lo, hi, L)
         else:
             Hl = H
-            u, free, K = _box_qp(H, g, lo, hi, qp.ops.H_chol, u_free)
-        s = [Tb @ u + tb for Tb, tb in zip(T, t)]
-        n = np.array([sqrt(sb @ sb) for sb in s])
-        for sb, nb, ball in zip(s, n, qp.terminal):
-            if nb > ball.radius and _margin_bound(ball, sb, lo, hi) < -BALL_FEAS_TOL:
+            u, free, K = _box_qp(H, g, lo, hi, ops.H_chol, u_free)
+        s = T @ u + t
+        n = norms(s)
+        for (_, _, part), nb, ball in zip(ops.balls, n, qp.terminal):
+            if nb > ball.radius and _margin_bound(ball, s[part], lo, hi) < -BALL_FEAS_TOL:
                 return None
-        # One column per ball; the reshape keeps the shape when there is none.
-        Z = np.array([Tb.T @ sb for Tb, sb in zip(T, s)]).reshape(len(s), len(u)).T[free]
-        if free.any():
-            if K is None:
-                K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
-                if info:
-                    return None
-            Z = dtrtrs(K, Z, lower=1)[0]
-        return u, n, 2.0 * (Z.T @ Z) / n[:, None] ** 3
+        if free.any() and K is None:
+            K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
+            if info:
+                return None
+        G = _residual_response(T, free, K)
+        return u, s, n, G, jacobian(s, n, G)
+
+    def secular(lam, s, n, G, J, live):
+        """Multipliers at which the free-set model around the point at lam
+        (`_free_set_model`) puts each ball in `live` (indices) within tol/4
+        of rho, by Newton's method from lam; None when it does not get
+        there.  A multiplier that a step sends below zero is held at zero,
+        no longer live.  A singular system, a vanishing residual or a
+        multiplier past lost ends the solve."""
+        model, mu = _free_set_model(G, E, s), lam.copy()
+        for _ in range(_SECULAR_STEPS):
+            _, _, step, info = dgesv(J[live[:, None], live], 1.0 / rho[live] - 1.0 / n[live])
+            if info:
+                return None
+            mu[live] += step
+            # also false for a step that is not finite
+            if not (mu <= lost).all():
+                return None
+            live = live[mu[live] > 0.0]
+            mu = np.maximum(mu, 0.0)
+            moved = model(mu - lam)
+            if moved is None:
+                return None
+            _, n, J = moved
+            if np.abs(n[live] - rho[live]).max(initial=0.0) <= 0.25 * tol:
+                return mu
+        return None
 
     def done(lam, n):
         return np.all(n <= r) and np.all((lam == 0.0) | (n >= r - tol))
+
+    def rises(lam, n, step):
+        """The projected step is an ascent direction of the dual function."""
+        return (n**2 - rho**2) @ (np.maximum(lam + step, 0.0) - lam) > 0.0
 
     lam = np.zeros(len(r))
     if budget < 1:
@@ -473,7 +609,7 @@ def _multiplier_search(qp, budget, tol, u_free=None):
     found = point(lam)
     if found is None:
         return None, lam, calls
-    u, n, J = found
+    u, s, n, G, J = found
     if len(r) == 1:
         below, above, inside = 0.0, np.inf, None
         while not done(lam, n):
@@ -482,7 +618,13 @@ def _multiplier_search(qp, budget, tol, u_free=None):
             else:
                 below = lam[0]
             slope = J[0, 0]
-            new = lam[0] - (1.0 / n[0] - 1.0 / rho[0]) / slope if slope > 0.0 else np.nan
+            new = np.nan
+            if slope > 0.0:
+                mu = secular(lam, s, n, G, J, np.zeros(1, dtype=int))
+                if mu is not None and rises(lam, n, mu - lam):
+                    new = mu[0]
+                else:
+                    new = lam[0] - (1.0 / n[0] - 1.0 / rho[0]) / slope
             if not below < new < above:
                 new = 0.5 * (below + above) if above < np.inf else max(2.0 * lam[0], scale[0])
             if not below < new < above:
@@ -493,7 +635,7 @@ def _multiplier_search(qp, budget, tol, u_free=None):
             found = point(lam)
             if found is None:
                 return None, lam, calls
-            u, n, J = found
+            u, s, n, G, J = found
         return u, lam, calls
 
     def dual(u, lam, n):
@@ -504,9 +646,14 @@ def _multiplier_search(qp, budget, tol, u_free=None):
         live = ((lam > 0.0) | (n > r)) & (np.diag(J) > 0.0)
         # A ball no free input moves: double lam (or start it), halve it, or hold.
         step = np.where(n > r, np.maximum(lam, scale), np.where(n < r - tol, -0.5 * lam, 0.0))
-        step[live] = np.linalg.lstsq(J[np.ix_(live, live)], 1.0 / rho[live] - 1.0 / n[live], rcond=None)[0]
-        if grad @ (np.maximum(lam + step, 0.0) - lam) <= 0.0:
-            step[live] = grad[live] / (2.0 * n[live] ** 3 * np.diag(J)[live])
+        mu = secular(lam, s, n, G, J, np.flatnonzero(live)) if live.any() else None
+        exact = None if mu is None else np.where(live, mu - lam, step)
+        if exact is not None and rises(lam, n, exact):
+            step = exact
+        else:
+            step[live] = np.linalg.lstsq(J[np.ix_(live, live)], 1.0 / rho[live] - 1.0 / n[live], rcond=None)[0]
+            if not rises(lam, n, step):
+                step[live] = grad[live] / (2.0 * n[live] ** 3 * np.diag(J)[live])
         base = dual(u, lam, n)
         while True:
             trial = np.maximum(lam + step, 0.0)
@@ -517,11 +664,11 @@ def _multiplier_search(qp, budget, tol, u_free=None):
                 return None, lam, calls
             # Either dual test proves d(trial) >= d(lam); the second is
             # free of the rounding in the dual values.
-            u2, n2, J2 = found
+            u2, s2, n2, G2, J2 = found
             if done(trial, n2) or dual(u2, trial, n2) >= base or (trial - lam) @ (n2**2 - rho**2) >= 0.0:
                 break
             step *= 0.5
-        lam, u, n, J = trial, u2, n2, J2
+        lam, u, s, n, G, J = trial, u2, s2, n2, G2, J2
     return u, lam, calls
 
 
@@ -533,18 +680,20 @@ def solve_qp(qp, options=None):
 
     1. The unconstrained minimizer u = -H^-1 g from the cached factor.  If
        it satisfies the box and every ball exactly, it is returned as
-       SOLVED with zero residuals.
-    2. The multiplier search, one iteration per box QP, with a budget of
-       `options.max_iters` - 2.  It returns SOLVED at a point that lies in
-       the box and in every ball exactly, with each binding ball met within
-       `options.eps_abs` of its radius, and no margin.  It ends without a
+       SOLVED with zero residuals and zero multipliers.
+    2. The multiplier search, from that minimizer, one iteration per box
+       QP, with a budget of `options.max_iters` - 2.  It returns SOLVED at
+       a point that lies in the box and in every ball exactly, with each
+       binding ball met within `options.eps_abs` of its radius, its
+       multipliers as `lam`, and no margin.  It ends without a
        point once the residual of a point it computes proves a ball out of
        reach, when its budget runs out, or when it stalls (which only balls
        that share inputs have been seen to make it do).
     3. `ball_margins`, one more iteration, only after a search without a
        point: the least margin is reported as `margin`, and the solve
        returns INFEASIBLE when some ball is proven out of reach by more than
-       BALL_FEAS_TOL, MAX_ITERS otherwise, with u clipped onto the box.  The
+       BALL_FEAS_TOL, MAX_ITERS otherwise, with u clipped onto the box and
+       no multipliers.  The
        proof does not depend on BVLS converging, and it is exact when the
        balls act on disjoint inputs, as in every QP the strategies build.
 
@@ -562,7 +711,15 @@ def solve_qp(qp, options=None):
         and np.all(u <= box_hi)
         and all(sqrt(s @ s) <= ball.radius for s, ball in zip(reach, qp.terminal))
     ):
-        return QpSolution(u, qp.objective(u), iterations=1, primal_res=0.0, dual_res=0.0, status=SOLVED)
+        return QpSolution(
+            u,
+            qp.objective(u),
+            iterations=1,
+            primal_res=0.0,
+            dual_res=0.0,
+            status=SOLVED,
+            lam=np.zeros(len(qp.terminal)),
+        )
 
     iterations, margin, status = 1, None, MAX_ITERS
     if opts.max_iters > 1:
@@ -581,6 +738,7 @@ def solve_qp(qp, options=None):
                 primal_res=0.0,
                 dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
                 status=SOLVED,
+                lam=lam,
             )
         iterations += 1
         margins = ball_margins(qp)

@@ -8,6 +8,7 @@ import pytest
 from coopmpc import (
     ClosedLoopTrace,
     CostSpec,
+    DimensionMismatch,
     SolverOptions,
     StrategyConfig,
     SubsystemBlocks,
@@ -220,6 +221,13 @@ class TestCompare:
         rows, xbar = compare_strategies(flagship, np.zeros(flagship.n), iter_counts=(1, 2), warmup_steps=1)
         assert not xbar.any()
         assert [(r.gc, r.gc_loss, r.cc, r.cc_loss) for r in rows] == [(0.0, 0.0, 0.0, 0.0)] * 4
+
+    @pytest.mark.parametrize("iter_counts", [(0, 2), (7, -1)])
+    def test_iteration_counts_below_one_rejected(self, flagship, iter_counts):
+        # a count below 1 has no cooperative iterate; it must not label
+        # another iterate's row
+        with pytest.raises(DimensionMismatch):
+            compare_strategies(flagship, np.ones(flagship.n), iter_counts=iter_counts, warmup_steps=1)
 
     def test_csv_header(self, rng_factory):
         rng = rng_factory(83)

@@ -209,6 +209,20 @@ class TestReadOnly:
         with pytest.raises(ValueError):
             agent.Gx[0, 0] = 0.0
 
+    def test_search_ball_data_is_built_once(self, flagship, states):
+        # the multiplier search reads the balls' stacked maps, T^T T and
+        # row-to-ball matrix from the operators, not from each QP
+        ops = flagship.centralized_operators()
+        qp = ops.condense(states[0])
+        assert np.array_equal(ops.ball_map, np.vstack([b.Tmap for b in qp.terminal]))
+        for k, ball in enumerate(qp.terminal):
+            assert np.array_equal(ops.ball_gram[k], ball.Tmap.T @ ball.Tmap)
+        sizes = [len(b.tvec) for b in qp.terminal]
+        assert np.array_equal(ops.ball_indicator, np.repeat(np.eye(len(sizes)), sizes, axis=0))
+        for array in (ops.ball_map, ops.ball_gram, ops.ball_indicator, ops.ball_scale, ops.ball_lost):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
     def test_per_solve_vectors_are_private(self, flagship, states):
         ops = flagship.centralized_operators()
         a = ops.condense(states[0])
