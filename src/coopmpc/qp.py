@@ -191,31 +191,33 @@ class HorizonOperators:
         c_x = Q + Phi.T @ Qbig @ Phi
         self._c_x = _frozen(0.5 * (c_x + c_x.T))
 
-        # (Tmap, radius, the part of tvec_x x0 that is the ball's tvec)
-        self.balls = []
-        rows = []
-        start = 0
+        # The balls' rows of x(N), stacked: ball_map holds their rows of
+        # Gamma, and each ball's Tmap is its block of ball_map.
+        # self.balls: (Tmap, radius, the block of tvec_x x0 that is its tvec)
+        rows, parts, radii = [], [], []
         for idx, radius in terminal_balls or ():
             idx = np.arange(n)[idx] if isinstance(idx, slice) else np.asarray(idx, dtype=int)
-            rows.append((N - 1) * n + idx)
-            self.balls.append((_frozen(Gamma[rows[-1], :]), float(radius), slice(start, start + len(idx))))
-            start += len(idx)
-        self._tvec_x = _frozen(Phi[np.concatenate(rows), :] if rows else np.zeros((0, n)))
-        # What the multiplier search needs of the balls: their stacked maps,
-        # the 0/1 matrix E with E[i, b] = 1 where stacked row i belongs to
-        # ball b, each T^T T, and the
-        # multipliers at which 2 lam T^T T weighs as much as H (for
-        # doubling; the floor keeps it finite for a ball no input moves) and
-        # past which H is lost in rounding.
-        self.ball_map = _frozen(Gamma[np.concatenate(rows), :] if rows else np.zeros((0, N * m)))
-        self.ball_indicator = _frozen(np.repeat(np.eye(len(rows)), [len(idx) for idx in rows], axis=0))
-        self.ball_gram = _frozen(np.array([T.T @ T for T, _, _ in self.balls]).reshape(len(rows), N * m, N * m))
-        eps = np.finfo(float).eps
+            start = len(rows)
+            rows.extend((N - 1) * n + idx)
+            parts.append(slice(start, len(rows)))
+            radii.append(float(radius))
+        rows = np.array(rows, dtype=int)
+        self.ball_map = _frozen(Gamma[rows, :])
+        self._tvec_x = _frozen(Phi[rows, :])
+        self.balls = [(self.ball_map[part], radius, part) for part, radius in zip(parts, radii)]
+        # What else the multiplier search needs of the balls: the 0/1
+        # matrix E with E[i, b] = 1 where stacked row i belongs to ball b,
+        # each T^T T, and the multipliers at which 2 lam T^T T weighs as
+        # much as H (for doubling; the floor keeps it finite for a ball no
+        # input moves).  ball_zero is the multiplier vector of an exact
+        # solve.
+        self.ball_indicator = _frozen(np.repeat(np.eye(len(parts)), [p.stop - p.start for p in parts], axis=0))
+        self.ball_gram = _frozen(np.array([T.T @ T for T, _, _ in self.balls]).reshape(len(parts), N * m, N * m))
         trace_H = np.trace(self.H)
         self.ball_scale = _frozen(
-            trace_H / (2.0 * np.maximum([np.trace(A) for A in self.ball_gram], eps * trace_H))
+            trace_H / (2.0 * np.maximum([np.trace(A) for A in self.ball_gram], np.finfo(float).eps * trace_H))
         )
-        self.ball_lost = _frozen(self.ball_scale / eps)
+        self.ball_zero = _frozen(np.zeros(len(parts)))
 
     def condense(self, x0):
         """The CondensedQp at initial state x0."""
@@ -298,10 +300,11 @@ class QpSolution:
     # reached the certificate.  None on a SOLVED result, which never runs
     # it, and when the solve stopped at the exact check or has no ball.
     margin: float = None
-    # Multiplier of each ball at a SOLVED point: zeros after the exact
-    # check, the search's multipliers otherwise, so the optimal objective
-    # changes with radius r_b at the rate -2 r_b lam_b.  None on a failed
-    # solve.
+    # Multiplier of each ball at a SOLVED point, so the optimal objective
+    # changes with radius r_b at the rate -2 r_b lam_b: the search's
+    # multipliers, or after the exact check the read-only zeros of
+    # `HorizonOperators.ball_zero`, which every such solution shares.
+    # None on a failed solve.
     lam: np.ndarray = None
 
 
@@ -426,6 +429,17 @@ def _residual_response(T, free, K):
     return Y.T @ Y
 
 
+def _secular_terms(E, s, P):
+    """The ball norms n of the stacked residuals s (E is the 0/1 matrix of
+    the ball of each row) and the Jacobian J_cb = d(1/n_c)/d mu_b =
+    2 s_c.P_cb s_b / n_c^3 of their secular residuals, where P is the
+    response of the residuals to the multipliers; a ball whose residual
+    vanishes gets a zero row."""
+    n = np.sqrt((s * s) @ E)
+    S = E * s[:, None]
+    return n, 2.0 * (S.T @ P @ S) / np.where(n > 0.0, n, np.inf)[:, None] ** 3
+
+
 def _free_set_model(G, E, s):
     """The secular terms at multipliers moved from a point, with its held
     inputs fixed and its free set kept.
@@ -434,43 +448,22 @@ def _free_set_model(G, E, s):
     (`_residual_response`) and E the 0/1 matrix of the ball of each row.
     The returned function of a multiplier step (one entry per ball) gives
     (s(mu), n, J): the residuals s(mu) = (I + 2 G D)^-1 s, with D = diag(E
-    step) repeating each ball's step over its rows, their ball norms n and
-    the Jacobian J_cb = d(1/n_c)/d mu_b = 2 s_c.P_cb s_b / n_c^3 with
-    P = (I + 2 G D)^-1 G.  It gives None where I + 2 G D is singular (or,
-    for one ball, not positive definite), the result is not finite or a
-    residual vanishes.  With one ball D is a multiple of I, so one
-    eigendecomposition G = V diag(gam) V^T gives every step in O(Sum n_b):
-    s(mu) = V diag(1 / (1 + 2 step gam)) V^T s.  With several balls each
-    step solves the Sum n_b system with dgesv.
+    step) repeating each ball's step over its rows, and their
+    `_secular_terms` with P = (I + 2 G D)^-1 G, both from one dgesv on the
+    Sum n_b system.  It gives None where I + 2 G D is singular, the result
+    is not finite or a residual vanishes.
     """
-    if E.shape[1] == 1:
-        gam, V = np.linalg.eigh(G)
-        c = V.T @ s
-
-        def moved(step):
-            d = 1.0 + 2.0 * step[0] * gam
-            if not (d > 0.0).all():
-                return None
-            w = c / d
-            n = sqrt(w @ w)
-            if not 0.0 < n < np.inf:
-                return None
-            return V @ w, np.array([n]), np.array([[2.0 * ((gam * w) @ (w / d)) / n**3]])
-
-        return moved
-
     eye, rhs = np.eye(len(s)), np.column_stack([s, G])
 
     def moved(step):
         _, _, X, info = dgesv(eye + 2.0 * G * (E @ step), rhs)
         if info or not np.isfinite(X).all():
             return None
-        s_mu, P = X[:, 0], X[:, 1:]
-        n = np.sqrt((s_mu * s_mu) @ E)
+        s_mu = X[:, 0]
+        n, J = _secular_terms(E, s_mu, X[:, 1:])
         if not (n > 0.0).all():
             return None
-        S = E * s_mu[:, None]
-        return s_mu, n, 2.0 * (S.T @ P @ S) / n[:, None] ** 3
+        return s_mu, n, J
 
     return moved
 
@@ -498,12 +491,11 @@ def _multiplier_search(qp, budget, tol, u_free=None):
     its rows (`_residual_response`, `_free_set_model`).  Newton's method
     on that model, with Jacobian 2 S^T P S / n^3 (S holds each ball's
     residual in its own column) and P = (I + 2 G D)^-1 G, runs to
-    convergence at no box QP: one eigendecomposition serves every step
-    for one ball, one dgesv on a Sum n_b system makes each step for
-    several.  Its first step, at D = 0, is the linearised Newton step.
-    The next box QP confirms the multipliers it finds or changes the free
-    set.  The linearised step is taken instead whenever the model's step
-    is not finite, is zero or is no ascent direction of the dual function.
+    convergence at no box QP, one dgesv on the Sum n_b system per step.
+    Its first step, at D = 0, is the linearised Newton step.  The next
+    box QP confirms the multipliers it finds or changes the free set.
+    The linearised step is taken instead whenever the model's step is not
+    finite, is zero or is no ascent direction of the dual function.
 
     One ball keeps a bracket on lam and bisects (or doubles lam, above any
     point found inside) when a step leaves it.  Several balls take
@@ -518,21 +510,14 @@ def _multiplier_search(qp, budget, tol, u_free=None):
     """
     ops = qp.ops
     H, g, lo, hi = qp.H, qp.g, qp.box_lo, qp.box_hi
-    T, E, scale, lost = ops.ball_map, ops.ball_indicator, ops.ball_scale, ops.ball_lost
+    T, E, scale = ops.ball_map, ops.ball_indicator, ops.ball_scale
+    # Past these multipliers H is lost in rounding.
+    lost = scale / np.finfo(float).eps
     t = np.concatenate([np.zeros(0)] + [ball.tvec for ball in qp.terminal])
     r = np.array([ball.radius for ball in qp.terminal])
     rho = r - 0.5 * tol
     Ttt = E.T @ (T * t[:, None])
     calls = 0
-
-    def norms(s):
-        return np.sqrt((s * s) @ E)
-
-    def jacobian(s, n, G):
-        """J_cb = d(1/n_c)/d mu_b = 2 s_c.G_cb s_b / n_c^3 at the point; a
-        ball whose residual vanishes gets a zero row."""
-        S = E * s[:, None]
-        return 2.0 * (S.T @ G @ S) * (1.0 / np.where(n > 0.0, n, np.inf))[:, None] ** 3
 
     def point(lam):
         """(u, s, n, G, J): the Lagrangian minimizer, its stacked ball
@@ -559,16 +544,17 @@ def _multiplier_search(qp, budget, tol, u_free=None):
             Hl = H
             u, free, K = _box_qp(H, g, lo, hi, ops.H_chol, u_free)
         s = T @ u + t
-        n = norms(s)
-        for (_, _, part), nb, ball in zip(ops.balls, n, qp.terminal):
-            if nb > ball.radius and _margin_bound(ball, s[part], lo, hi) < -BALL_FEAS_TOL:
+        for (_, radius, part), ball in zip(ops.balls, qp.terminal):
+            sb = s[part]
+            if sb @ sb > radius**2 and _margin_bound(ball, sb, lo, hi) < -BALL_FEAS_TOL:
                 return None
         if free.any() and K is None:
             K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
             if info:
                 return None
         G = _residual_response(T, free, K)
-        return u, s, n, G, jacobian(s, n, G)
+        n, J = _secular_terms(E, s, G)
+        return u, s, n, G, J
 
     def secular(lam, s, n, G, J, live):
         """Multipliers at which the free-set model around the point at lam
@@ -642,7 +628,6 @@ def _multiplier_search(qp, budget, tol, u_free=None):
         return 0.5 * u @ H @ u + g @ u + lam @ (n**2 - rho**2)
 
     while not done(lam, n):
-        grad = n**2 - rho**2
         live = ((lam > 0.0) | (n > r)) & (np.diag(J) > 0.0)
         # A ball no free input moves: double lam (or start it), halve it, or hold.
         step = np.where(n > r, np.maximum(lam, scale), np.where(n < r - tol, -0.5 * lam, 0.0))
@@ -653,7 +638,7 @@ def _multiplier_search(qp, budget, tol, u_free=None):
         else:
             step[live] = np.linalg.lstsq(J[np.ix_(live, live)], 1.0 / rho[live] - 1.0 / n[live], rcond=None)[0]
             if not rises(lam, n, step):
-                step[live] = grad[live] / (2.0 * n[live] ** 3 * np.diag(J)[live])
+                step[live] = (n[live] ** 2 - rho[live] ** 2) / (2.0 * n[live] ** 3 * np.diag(J)[live])
         base = dual(u, lam, n)
         while True:
             trial = np.maximum(lam + step, 0.0)
@@ -718,7 +703,7 @@ def solve_qp(qp, options=None):
             primal_res=0.0,
             dual_res=0.0,
             status=SOLVED,
-            lam=np.zeros(len(qp.terminal)),
+            lam=qp.ops.ball_zero,
         )
 
     iterations, margin, status = 1, None, MAX_ITERS

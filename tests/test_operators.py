@@ -219,7 +219,10 @@ class TestReadOnly:
             assert np.array_equal(ops.ball_gram[k], ball.Tmap.T @ ball.Tmap)
         sizes = [len(b.tvec) for b in qp.terminal]
         assert np.array_equal(ops.ball_indicator, np.repeat(np.eye(len(sizes)), sizes, axis=0))
-        for array in (ops.ball_map, ops.ball_gram, ops.ball_indicator, ops.ball_scale, ops.ball_lost):
+        # one copy of the maps: each ball's Tmap is its block of ball_map
+        assert all(np.shares_memory(b.Tmap, ops.ball_map) for b in qp.terminal)
+        assert not ops.ball_zero.any() and ops.ball_zero.shape == (len(sizes),)
+        for array in (ops.ball_map, ops.ball_gram, ops.ball_indicator, ops.ball_scale, ops.ball_zero):
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
 
