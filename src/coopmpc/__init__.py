@@ -79,6 +79,7 @@ from .harness import (
     comparison_to_csv,
     config_digest,
     evaluate_cost,
+    global_cost,
     monte_carlo,
     replay_states,
     run_closed_loop,

@@ -176,13 +176,21 @@ def config_from_dict(doc):
     _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
 
     sim_doc = doc.get("sim", {})
+    bounds = sim_doc.get("bounds", [-8.0, 8.0])
+    _expect(
+        isinstance(bounds, list)
+        and len(bounds) == 2
+        and all(isinstance(b, (int, float)) and np.isfinite(b) for b in bounds)
+        and bounds[0] <= bounds[1],
+        "sim.bounds: expected two finite numbers [lo, hi] with lo <= hi",
+    )
     sim = SimConfig(
         steps=int(sim_doc.get("steps", 60)),
         strategy=str(sim_doc.get("strategy", "noiter")),
         iters=int(sim_doc.get("iters", 5)),
         x0=sim_doc.get("x0"),
         seed=int(sim_doc.get("seed", 0)),
-        bounds=list(sim_doc.get("bounds", [-8.0, 8.0])),
+        bounds=list(bounds),
         warmup_steps=int(sim_doc.get("warmup_steps", 3)),
         draws=int(sim_doc.get("draws", 200)),
     )

@@ -4,6 +4,8 @@ Cost accounting follows the cooperative objective split: the global cost
 GC of an open-loop sequence set is the full finite-horizon sum, the
 coupled cost CC is the part contributed by the coupling residuals Qtilde
 and Ptilde, and GC minus CC is what the decoupled weights alone see.
+GC is evaluated as the centralized condensed objective at the plan, with
+no trajectory; CC is summed along the simulated trajectory.
 """
 
 import hashlib
@@ -24,26 +26,32 @@ from .errors import DimensionMismatch, SolverFailure
 MAX_CONSECUTIVE_FAILURES = 3
 
 
+def global_cost(problem, xbar0, seqs):
+    """Global cost GC of an open-loop sequence set.
+
+    The centralized condensed objective 0.5 u'Hu + g'u + const at the
+    stacked plan u: the stage costs over the horizon plus the terminal
+    cost, with no trajectory simulated.
+    """
+    return problem.centralized_operators().condense(xbar0).objective(seqs.stacked())
+
+
 def evaluate_cost(problem, xbar0, seqs):
     """Global and coupled cost of an open-loop sequence set.
 
-    Returns (GC, CC).  GC sums the stage costs over the horizon plus the
-    terminal cost; CC is the same sum taken with the coupling residual
-    weights only (no input term).
+    Returns (GC, CC).  GC is `global_cost`; CC sums the coupling residual
+    weights Qtilde over the horizon and Ptilde at its end along the
+    simulated trajectory (no input term).
     """
     tc = problem.tcost
     traj = problem.simulate(xbar0, seqs)
-    u_stack = seqs.stage
-    gc = 0.0
     cc = 0.0
     for k in range(problem.N):
         x = traj[k]
-        gc += float(x @ tc.Qbar @ x + u_stack[k] @ tc.Rglobal @ u_stack[k])
         cc += float(x @ tc.Qtilde @ x)
     xN = traj[problem.N]
-    gc += float(xN @ tc.Pbar @ xN)
     cc += float(xN @ tc.Ptilde @ xN)
-    return gc, cc
+    return global_cost(problem, xbar0, seqs), cc
 
 
 @dataclass
@@ -309,7 +317,9 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
     records each one's index, the failed solve's status and its least
     terminal-ball margin (None when the solve stopped before the
     certificate ran).  loss_mean and loss_worst are None when every draw
-    is excluded.
+    is excluded.  Each loss compares the `global_cost` of the two plans,
+    so no trajectory is simulated; where the centralized cost is 0 (a
+    draw at the origin) the loss is 0.0.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     rng = np.random.Generator(np.random.PCG64(int(seed)))
@@ -325,9 +335,7 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
             losses.append(None)
             excluded_draws.append({"index": d, "status": exc.status, "margin": exc.solution.margin})
             continue
-        gc_s, _ = evaluate_cost(problem, xbar, seqs)
-        gc_c, _ = evaluate_cost(problem, xbar, cen)
-        losses.append((gc_s - gc_c) / gc_c)
+        losses.append(_loss(global_cost(problem, xbar, seqs), global_cost(problem, xbar, cen)))
     kept = [v for v in losses if v is not None]
     return MonteCarloReport(
         draws=int(draws),

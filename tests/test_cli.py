@@ -218,6 +218,14 @@ class TestMonteCarlo:
         assert doc["per_draw_losses"] == [None] * 3
         assert [rec["status"] for rec in doc["excluded_draws"]] == [INFEASIBLE] * 3
 
+    def test_reversed_bounds_are_a_configuration_error(self, tmp_path, capsys):
+        doc = flagship_dict()
+        doc["sim"]["bounds"] = [8, -8]
+        out = tmp_path / "out"
+        assert run(["montecarlo", "--config", write_cfg(tmp_path, doc), "--out-dir", str(out), "--draws", "3"]) == 2
+        assert "configuration error: sim.bounds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFailureModes:
     def test_malformed_json(self, tmp_path, capsys):

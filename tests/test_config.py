@@ -128,6 +128,22 @@ class TestParsing:
         sim = config_from_dict(doc).sim
         assert (sim.steps, sim.iters, sim.draws, sim.warmup_steps) == (1, 1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [[1.0], [8, -8], ["a", 1], [0, float("nan")], [0, float("inf")], [-1.0, 0.0, 1.0], "ab", 5, None],
+    )
+    def test_bad_sim_bounds(self, bounds):
+        doc = minimal_single_agent()
+        doc["sim"] = {"bounds": bounds}
+        with pytest.raises(ConfigError, match="sim.bounds"):
+            config_from_dict(doc)
+
+    def test_sim_edge_bounds_accepted(self):
+        doc = minimal_single_agent()
+        for bounds in ([0, 0], [-3, 2.5]):
+            doc["sim"] = {"bounds": bounds}
+            assert config_from_dict(doc).sim.bounds == bounds
+
     def test_unknown_sim_strategy(self):
         doc = minimal_single_agent()
         doc["sim"] = {"strategy": "magic"}

@@ -9,6 +9,7 @@ from coopmpc import (
     ClosedLoopTrace,
     CostSpec,
     DimensionMismatch,
+    InputSequenceSet,
     SolverOptions,
     StrategyConfig,
     SubsystemBlocks,
@@ -17,10 +18,13 @@ from coopmpc import (
     comparison_to_csv,
     config_digest,
     evaluate_cost,
+    global_cost,
     monte_carlo,
     replay_states,
     run_closed_loop,
+    solve_centralized,
     solve_noiter_all,
+    solve_strategy,
     timing_summary,
     timing_summary_csv,
     trace_to_csv,
@@ -28,6 +32,7 @@ from coopmpc import (
 
 from coopmpc.qp import INFEASIBLE, MAX_ITERS
 
+from oracles import horizon_cost
 from support import X0_EXP1, assemble, noiter_verdicts, random_certified_problem
 
 FLAGSHIP_HEADER = (
@@ -59,7 +64,27 @@ def two_channel_problem():
     )
 
 
+def stage_sum_gc(problem, xbar0, seqs):
+    """GC by simulating the joint dynamics and summing the stage costs."""
+    tc = problem.tcost
+    return horizon_cost(problem.A_big, problem.B_big, tc.Qbar, tc.Pbar, tc.Rglobal, xbar0, seqs.stage.T)
+
+
 class TestCostAccounting:
+    @pytest.mark.parametrize("which", ["flagship", "separable", "random"])
+    def test_global_cost_matches_stage_sum(self, flagship, rng_factory, which):
+        rng = rng_factory(87)
+        prob = {"flagship": flagship, "separable": flagship.separable()}.get(which) or random_certified_problem(rng)
+        u_max = np.concatenate(prob.u_max)
+        # plans inside the input box, then up to three times outside it
+        for scale in (1.0, 3.0):
+            for _ in range(10):
+                xbar = rng.uniform(-8.0, 8.0, size=prob.n)
+                seqs = InputSequenceSet(scale * u_max * rng.uniform(-1.0, 1.0, size=(prob.N, len(u_max))), prob.m)
+                want = stage_sum_gc(prob, xbar, seqs)
+                assert abs(global_cost(prob, xbar, seqs) - want) <= 1e-12 * abs(want)
+                assert evaluate_cost(prob, xbar, seqs)[0] == global_cost(prob, xbar, seqs)
+
     def test_coupling_share_vanishes_on_separable(self, flagship, rng_factory):
         rng = rng_factory(81)
         xbar = rng.uniform(-5.0, 5.0, size=18)
@@ -291,6 +316,29 @@ class TestMonteCarlo:
         assert {rec["status"] for rec in rep.excluded_draws} == {INFEASIBLE}
         margins = [rec["margin"] for rec in rep.excluded_draws]
         assert margins == pytest.approx([-0.5535, -0.0404, -0.0352, -0.5497], abs=5e-5)
+
+    def test_losses_match_stage_sum_oracle(self, flagship):
+        cfg = StrategyConfig(kind="noiter")
+        rep = monte_carlo(flagship, draws=50, bounds=(-8.0, 8.0), strategy=cfg, seed=20)
+        X0 = -8.0 + 16.0 * np.random.Generator(np.random.PCG64(20)).random((50, flagship.n))
+        kept = 0
+        for d, loss in enumerate(rep.per_draw_losses):
+            if loss is None:
+                continue
+            xbar = flagship.pmap.to_regrouped(X0[d])
+            gc = stage_sum_gc(flagship, xbar, solve_strategy(flagship, xbar, cfg)[0])
+            gc_cen = stage_sum_gc(flagship, xbar, solve_centralized(flagship, xbar)[0])
+            assert abs(loss - (gc - gc_cen) / gc_cen) <= 1e-12
+            kept += 1
+        assert kept == 46
+
+    def test_zero_centralized_cost_gives_zero_losses(self, flagship):
+        # every draw is the origin, where every plan and every cost is 0
+        cfg = StrategyConfig(kind="noiter")
+        rep = monte_carlo(flagship, draws=3, bounds=(0.0, 0.0), strategy=cfg, seed=20)
+        assert rep.excluded == 0
+        assert rep.per_draw_losses == [0.0, 0.0, 0.0]
+        assert (rep.loss_mean, rep.loss_worst) == (0.0, 0.0)
 
     def test_seed_changes_sample(self, rng_factory):
         rng = rng_factory(86)
