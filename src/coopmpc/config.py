@@ -10,6 +10,7 @@ module, so decimals are read exactly as written regardless of locale.
 
 import json
 from dataclasses import dataclass, field, asdict
+from math import isfinite
 
 import numpy as np
 
@@ -112,6 +113,30 @@ def check_count(name, value, least):
     _expect(value >= least, "%s: must be an integer >= %d" % (name, least))
 
 
+def _is_number(value):
+    """A finite JSON number: an int (not a bool) or a finite float."""
+    if isinstance(value, float):
+        return isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(section, key, default, where):
+    """section[key], or default when absent, as a float; a finite JSON number."""
+    value = section.get(key, default)
+    _expect(_is_number(value), "%s.%s: must be a finite number" % (where, key))
+    return float(value)
+
+
+def _integer(section, key, default, where):
+    """section[key], or default when absent, as an int; a whole JSON number."""
+    value = section.get(key, default)
+    _expect(
+        _is_number(value) and (isinstance(value, int) or value.is_integer()),
+        "%s.%s: must be an integer" % (where, key),
+    )
+    return int(value)
+
+
 def config_from_dict(doc):
     _expect(isinstance(doc, dict), "top level: expected an object")
     sub_doc = _require(doc, "subsystems", "top level")
@@ -168,36 +193,44 @@ def config_from_dict(doc):
     _expect(len(lqr.Q) == M and len(lqr.R) == M, "lqr: need Q and R per agent")
 
     solver_doc = doc.get("solver", {})
+    _expect(isinstance(solver_doc, dict), "solver: expected an object")
     solver = SolverConfig(
-        eps_abs=float(solver_doc.get("eps_abs", 1e-8)),
-        max_iters=int(solver_doc.get("max_iters", 50000)),
+        eps_abs=_number(solver_doc, "eps_abs", 1e-8, "solver"),
+        max_iters=_integer(solver_doc, "max_iters", 50000, "solver"),
     )
     _expect(solver.max_iters >= 1, "solver.max_iters: must be an integer >= 1")
     _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
 
     sim_doc = doc.get("sim", {})
+    _expect(isinstance(sim_doc, dict), "sim: expected an object")
+    x0 = sim_doc.get("x0")
+    _expect(
+        x0 is None or (isinstance(x0, list) and all(_is_number(v) for v in x0)),
+        "sim.x0: expected a flat list of finite numbers",
+    )
     bounds = sim_doc.get("bounds", [-8.0, 8.0])
     _expect(
         isinstance(bounds, list)
         and len(bounds) == 2
-        and all(isinstance(b, (int, float)) and np.isfinite(b) for b in bounds)
+        and all(_is_number(b) for b in bounds)
         and bounds[0] <= bounds[1],
         "sim.bounds: expected two finite numbers [lo, hi] with lo <= hi",
     )
     sim = SimConfig(
-        steps=int(sim_doc.get("steps", 60)),
+        steps=_integer(sim_doc, "steps", 60, "sim"),
         strategy=str(sim_doc.get("strategy", "noiter")),
-        iters=int(sim_doc.get("iters", 5)),
-        x0=sim_doc.get("x0"),
-        seed=int(sim_doc.get("seed", 0)),
+        iters=_integer(sim_doc, "iters", 5, "sim"),
+        x0=x0,
+        seed=_integer(sim_doc, "seed", 0, "sim"),
         bounds=list(bounds),
-        warmup_steps=int(sim_doc.get("warmup_steps", 3)),
-        draws=int(sim_doc.get("draws", 200)),
+        warmup_steps=_integer(sim_doc, "warmup_steps", 3, "sim"),
+        draws=_integer(sim_doc, "draws", 200, "sim"),
     )
     _expect(sim.strategy in ("centralized", "noiter", "coop"), "sim.strategy: unknown strategy")
     for key in ("steps", "iters", "draws"):
         check_count("sim." + key, getattr(sim, key), 1)
     check_count("sim.warmup_steps", sim.warmup_steps, 0)
+    check_count("sim.seed", sim.seed, 0)
 
     return ProblemConfig(
         subsystems=sub,

@@ -94,25 +94,20 @@ class TerminalBall:
 class CondensedQp:
     """Input-space condensed horizon problem.
 
-    Phi and Gamma are the prediction operators over x(1..N):
-    x_stack = Phi x0 + Gamma u_stack.  `objective` evaluates the full
-    horizon cost including the constant term, so it matches the stage sum
-    of the problem it was built from.  H, Phi, Gamma, the box and every
-    Tmap belong to `ops`, the HorizonOperators the problem was condensed
-    from, and are read-only.
+    `objective` evaluates the full horizon cost including the constant
+    term, so it matches the stage sum of the problem it was built from.
+    H, the box and every Tmap belong to `ops`, the HorizonOperators the
+    problem was condensed from, and are read-only; `ops` also holds the
+    prediction operators Phi and Gamma over x(1..N), x_stack = Phi x0 +
+    Gamma u_stack, and the dimensions n, m and N.
     """
 
     H: np.ndarray
     g: np.ndarray
     const: float
-    Phi: np.ndarray
-    Gamma: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
     terminal: list
-    n: int
-    m: int
-    N: int
     ops: "HorizonOperators" = field(repr=False)
 
     def objective(self, u):
@@ -221,27 +216,15 @@ class HorizonOperators:
 
     def condense(self, x0):
         """The CondensedQp at initial state x0."""
-        n = self.n
         x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] != n:
-            raise DimensionMismatch("x0 must have length %d" % n)
+        if x0.shape[0] != self.n:
+            raise DimensionMismatch("x0 must have length %d" % self.n)
         g = self.g_x @ x0
         const = float(x0 @ self._c_x @ x0)
         tvec = self._tvec_x @ x0
         terminal = [TerminalBall(Tmap=Tmap, tvec=tvec[part], radius=r) for Tmap, r, part in self.balls]
         return CondensedQp(
-            H=self.H,
-            g=g,
-            const=const,
-            Phi=self.Phi,
-            Gamma=self.Gamma,
-            box_lo=self.box_lo,
-            box_hi=self.box_hi,
-            terminal=terminal,
-            n=n,
-            m=self.m,
-            N=self.N,
-            ops=self,
+            H=self.H, g=g, const=const, box_lo=self.box_lo, box_hi=self.box_hi, terminal=terminal, ops=self
         )
 
 
@@ -497,11 +480,9 @@ def _multiplier_search(qp, budget, tol, u_free=None):
     The linearised step is taken instead whenever the model's step is not
     finite, is zero or is no ascent direction of the dual function.
 
-    One ball keeps a bracket on lam and bisects (or doubles lam, above any
-    point found inside) when a step leaves it.  Several balls take
-    projected steps on lam >= 0, halved until the dual function provably
-    does not fall, along the Jacobi-scaled dual gradient when neither
-    Newton step is an ascent direction.
+    One loop serves every ball count: projected steps on lam >= 0, halved
+    until the dual function provably does not fall, along the Jacobi-scaled
+    dual gradient when neither Newton step is an ascent direction.
 
     Returns (u, lam, calls): u lies in the box and in every ball with no
     slack, and every ball with a positive multiplier is met within tol.
@@ -589,6 +570,9 @@ def _multiplier_search(qp, budget, tol, u_free=None):
         """The projected step is an ascent direction of the dual function."""
         return (n**2 - rho**2) @ (np.maximum(lam + step, 0.0) - lam) > 0.0
 
+    def dual(u, lam, n):
+        return 0.5 * u @ H @ u + g @ u + lam @ (n**2 - rho**2)
+
     lam = np.zeros(len(r))
     if budget < 1:
         return None, lam, calls
@@ -596,37 +580,6 @@ def _multiplier_search(qp, budget, tol, u_free=None):
     if found is None:
         return None, lam, calls
     u, s, n, G, J = found
-    if len(r) == 1:
-        below, above, inside = 0.0, np.inf, None
-        while not done(lam, n):
-            if n[0] <= r[0]:
-                above, inside = lam[0], u
-            else:
-                below = lam[0]
-            slope = J[0, 0]
-            new = np.nan
-            if slope > 0.0:
-                mu = secular(lam, s, n, G, J, np.zeros(1, dtype=int))
-                if mu is not None and rises(lam, n, mu - lam):
-                    new = mu[0]
-                else:
-                    new = lam[0] - (1.0 / n[0] - 1.0 / rho[0]) / slope
-            if not below < new < above:
-                new = 0.5 * (below + above) if above < np.inf else max(2.0 * lam[0], scale[0])
-            if not below < new < above:
-                return inside, np.array([above]), calls
-            if calls >= budget:
-                return None, lam, calls
-            lam = np.array([new])
-            found = point(lam)
-            if found is None:
-                return None, lam, calls
-            u, s, n, G, J = found
-        return u, lam, calls
-
-    def dual(u, lam, n):
-        return 0.5 * u @ H @ u + g @ u + lam @ (n**2 - rho**2)
-
     while not done(lam, n):
         live = ((lam > 0.0) | (n > r)) & (np.diag(J) > 0.0)
         # A ball no free input moves: double lam (or start it), halve it, or hold.

@@ -274,6 +274,15 @@ class TestFailureModes:
         assert "sim.steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [float("nan"), "a"])
+    def test_bad_configured_state_is_a_configuration_error(self, tmp_path, capsys, entry):
+        doc = flagship_dict()
+        doc["sim"]["x0"] = [entry] * len(doc["sim"]["x0"])
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_cfg(tmp_path, doc), "--out-dir", str(out), "--steps", "2"]) == 2
+        assert "configuration error: sim.x0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
             run(["--version"])

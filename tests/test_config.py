@@ -89,6 +89,11 @@ class TestParsing:
             ("eps_abs", 0.0),
             ("eps_abs", -1e-8),
             ("eps_abs", float("nan")),
+            ("eps_abs", float("inf")),
+            ("eps_abs", "x"),
+            ("max_iters", "100"),
+            ("max_iters", 2.5),
+            ("max_iters", float("nan")),
         ],
     )
     def test_bad_solver_setting(self, key, value):
@@ -114,7 +119,23 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("steps", 0), ("steps", -3), ("iters", 0), ("draws", 0), ("draws", -1), ("warmup_steps", -1)],
+        [
+            ("steps", 0),
+            ("steps", -3),
+            ("iters", 0),
+            ("draws", 0),
+            ("draws", -1),
+            ("warmup_steps", -1),
+            ("steps", "abc"),
+            ("steps", 2.5),
+            ("steps", True),
+            ("iters", "5"),
+            ("seed", "20"),
+            ("seed", -1),
+            ("warmup_steps", None),
+            ("draws", [10]),
+            ("draws", float("inf")),
+        ],
     )
     def test_bad_sim_count(self, key, value):
         doc = minimal_single_agent()
@@ -127,6 +148,40 @@ class TestParsing:
         doc["sim"] = {"steps": 1, "iters": 1, "draws": 1, "warmup_steps": 0}
         sim = config_from_dict(doc).sim
         assert (sim.steps, sim.iters, sim.draws, sim.warmup_steps) == (1, 1, 1, 0)
+
+    def test_whole_float_settings_accepted(self):
+        doc = minimal_single_agent()
+        doc["sim"] = {"steps": 4.0, "seed": 7.0}
+        doc["solver"] = {"max_iters": 100.0, "eps_abs": 1}
+        cfg = config_from_dict(doc)
+        assert (cfg.sim.steps, cfg.sim.seed, cfg.solver.max_iters, cfg.solver.eps_abs) == (4, 7, 100, 1.0)
+        assert isinstance(cfg.sim.steps, int) and isinstance(cfg.solver.eps_abs, float)
+
+    @pytest.mark.parametrize("section", ["sim", "solver"])
+    def test_section_must_be_an_object(self, section):
+        doc = minimal_single_agent()
+        doc[section] = [1, 2]
+        with pytest.raises(ConfigError, match="%s: expected an object" % section):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "x0",
+        [
+            ["a", 1.0],
+            [float("nan"), 0.0],
+            [0.0, float("-inf")],
+            [[1.0], [2.0]],
+            [True, 1.0],
+            [None, 1.0],
+            "ab",
+            5,
+        ],
+    )
+    def test_bad_sim_x0(self, x0):
+        doc = minimal_single_agent()
+        doc["sim"] = {"x0": x0}
+        with pytest.raises(ConfigError, match="sim.x0"):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize(
         "bounds",

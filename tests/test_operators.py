@@ -21,19 +21,19 @@ def close(got, want):
 
 
 def by_formula(qp, Q, P, x0, x_linear, balls):
-    """`qp` with g, const and every tvec recomputed from its Phi and Gamma.
+    """`qp` with g, const and every tvec recomputed from its operators' Phi and Gamma.
 
     The stage sum written out: x = Phi x0 + Gamma u, weighted by Q at the
     stages 1..N-1 and by P at stage N.
     """
-    n, N = qp.n, qp.N
+    n, N = qp.ops.n, qp.ops.N
     Qbig = block_diag(*([Q] * (N - 1) + [P]))
-    px = qp.Phi @ x0
-    g = 2.0 * (qp.Gamma.T @ (Qbig @ px))
+    px = qp.ops.Phi @ x0
+    g = 2.0 * (qp.ops.Gamma.T @ (Qbig @ px))
     const = float(x0 @ Q @ x0 + px @ Qbig @ px)
     if x_linear is not None:
         c = x_linear[1:].reshape(-1)
-        g = g + 2.0 * (qp.Gamma.T @ c)
+        g = g + 2.0 * (qp.ops.Gamma.T @ c)
         const += float(2.0 * x_linear[0] @ x0 + 2.0 * c @ px)
     terminal = [
         TerminalBall(Tmap=ball.Tmap, tvec=px[(N - 1) * n :][idx], radius=ball.radius)
@@ -202,7 +202,7 @@ class TestReadOnly:
             with pytest.raises(ValueError):
                 target.terminal[0].Tmap[0, 0] = 0.0
             with pytest.raises(ValueError):
-                target.Gamma[0, 0] = 0.0
+                target.ops.Gamma[0, 0] = 0.0
         agent = flagship.agent_operators(0)
         with pytest.raises(ValueError):
             agent.Hc[0, -1] = 0.0

@@ -66,7 +66,7 @@ class TestBuild:
         rng = rng_factory(53)
         qp, (A, B, _, _, _, x0) = random_condensed(rng)
         u = rng.normal(size=(1, 3))
-        stacked = qp.Phi @ x0 + qp.Gamma @ u.T.reshape(-1)
+        stacked = qp.ops.Phi @ x0 + qp.ops.Gamma @ u.T.reshape(-1)
         x = x0.copy()
         for k in range(3):
             x = A @ x + B @ u[:, k]
@@ -355,10 +355,11 @@ class TestExactFinish:
 
     def test_tight_one_ball_instances_match_bisection_oracle(self, rng_factory):
         # Large states and balls just past the least reachable norm: the
-        # box optimum saturates inputs, so Newton steps leave the bracket
-        # and the search doubles or bisects the multiplier.  The point is
-        # the exact optimum for its own terminal norm, which lies within
-        # eps_abs inside the radius.
+        # box optimum saturates inputs, so the free set changes between box
+        # QPs and the search may take the linearised Newton step or halve a
+        # step that lowers the dual function.  The point is the exact
+        # optimum for its own terminal norm, which lies within eps_abs
+        # inside the radius.
         rng = rng_factory(5)
         tol = SolverOptions().eps_abs
         searched = 0
