@@ -252,9 +252,9 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("steps", "iters", "draws"):
+        for flag, least in (("steps", 1), ("iters", 1), ("draws", 1), ("seed", 0)):
             if getattr(args, flag, None) is not None:
-                check_count("--" + flag, getattr(args, flag), 1)
+                check_count("--" + flag, getattr(args, flag), least)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

@@ -4,8 +4,9 @@ Cost accounting follows the cooperative objective split: the global cost
 GC of an open-loop sequence set is the full finite-horizon sum, the
 coupled cost CC is the part contributed by the coupling residuals Qtilde
 and Ptilde, and GC minus CC is what the decoupled weights alone see.
-GC is evaluated as the centralized condensed objective at the plan, with
-no trajectory; CC is summed along the simulated trajectory.
+Both are quadratic forms evaluated at the plan with no trajectory
+simulated: GC is the centralized condensed objective, CC the cached blocks
+of `Problem.coupled_cost_blocks`.
 """
 
 import hashlib
@@ -39,18 +40,15 @@ def global_cost(problem, xbar0, seqs):
 def evaluate_cost(problem, xbar0, seqs):
     """Global and coupled cost of an open-loop sequence set.
 
-    Returns (GC, CC).  GC is `global_cost`; CC sums the coupling residual
-    weights Qtilde over the horizon and Ptilde at its end along the
-    simulated trajectory (no input term).
+    Returns (GC, CC).  GC is `global_cost`.  CC is the coupling residual
+    weights' share, Qtilde over the horizon and Ptilde at its end (no
+    input term), evaluated as u'Au + 2 u'B xbar0 + xbar0'C xbar0 on the
+    cached `Problem.coupled_cost_blocks`, with no trajectory simulated.
     """
-    tc = problem.tcost
-    traj = problem.simulate(xbar0, seqs)
-    cc = 0.0
-    for k in range(problem.N):
-        x = traj[k]
-        cc += float(x @ tc.Qtilde @ x)
-    xN = traj[problem.N]
-    cc += float(xN @ tc.Ptilde @ xN)
+    A, B, C = problem.coupled_cost_blocks()
+    xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
+    u = seqs.stacked()
+    cc = float(u @ (A @ u) + 2.0 * (u @ (B @ xbar0)) + xbar0 @ (C @ xbar0))
     return global_cost(problem, xbar0, seqs), cc
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch
-from .qp import HorizonOperators, SolverOptions
+from .qp import HorizonOperators, SolverOptions, state_cost_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +37,11 @@ class Problem:
     is [-u_max, u_max].  All controller entry points take this bundle plus
     a regrouped initial state.
 
-    The horizon operators of the local and the centralized problems depend
-    only on these fields, so they are built on first use and kept; a copy
-    made with `dataclasses.replace` or `separable` starts without them.
-    The fields are not meant to change after construction.
+    The horizon operators of the local and the centralized problems and
+    the coupled-cost blocks depend only on these fields, so they are built
+    on first use and kept; a copy made with `dataclasses.replace` or
+    `separable` starts without them.  The fields are not meant to change
+    after construction.
     """
 
     pmap: object
@@ -123,6 +124,23 @@ class Problem:
                 ],
             )
         return self._operators["centralized"]
+
+    def coupled_cost_blocks(self):
+        """(A, B, C) of the coupled cost CC as a quadratic form (built once).
+
+        CC, the coupling residuals' share of the state cost, Qtilde over
+        x(0..N-1) plus Ptilde at x(N), is u'Au + 2 u'B xbar0 + xbar0'C xbar0
+        for the stacked plan u (`qp.state_cost_blocks` on the centralized
+        Phi and Gamma).  Read-only; all zero on a `separable` copy.
+        """
+        if "coupled_cost" not in self._operators:
+            cent = self.centralized_operators()
+            tc = self.tcost
+            blocks = state_cost_blocks(cent.Phi, cent.Gamma, tc.Qtilde, tc.Ptilde)
+            for b in blocks:
+                b.setflags(write=False)
+            self._operators["coupled_cost"] = blocks
+        return self._operators["coupled_cost"]
 
     @property
     def A_big(self):

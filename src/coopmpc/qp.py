@@ -121,6 +121,24 @@ def _frozen(a):
     return a
 
 
+def state_cost_blocks(Phi, Gamma, Q, P):
+    """The state part of a horizon cost as a quadratic form in (u, x0).
+
+    With x(1..N) = Phi x0 + Gamma u and Qbig = blkdiag(Q, ..., Q, P) over
+    x(1..N), the sum of x(k)'Q x(k) over k = 0..N-1 plus x(N)'P x(N) is
+    u'Au + 2 u'B x0 + x0'C x0 for the returned (A, B, C) =
+    (Gamma'Qbig Gamma, Gamma'Qbig Phi, Q + Phi'Qbig Phi).
+    """
+    n = Q.shape[0]
+    N = Phi.shape[0] // n
+    Qbig = np.zeros((N * n, N * n))
+    for k in range(N - 1):
+        Qbig[k * n : (k + 1) * n, k * n : (k + 1) * n] = Q
+    Qbig[(N - 1) * n :, (N - 1) * n :] = P
+    QG = Qbig @ Gamma
+    return Gamma.T @ QG, QG.T @ Phi, Q + Phi.T @ Qbig @ Phi
+
+
 class HorizonOperators:
     """The state-independent part of a condensed horizon problem.
 
@@ -163,14 +181,8 @@ class HorizonOperators:
             for j in range(k):
                 Gamma[(k - 1) * n : k * n, j * m : (j + 1) * m] = powers[k - 1 - j] @ B
 
-        Qbig = np.zeros((N * n, N * n))
-        for k in range(N - 1):
-            Qbig[k * n : (k + 1) * n, k * n : (k + 1) * n] = Q
-        Qbig[(N - 1) * n :, (N - 1) * n :] = P
-        Rbig = np.kron(np.eye(N), R)
-
-        QG = Qbig @ Gamma
-        H = 2.0 * (Gamma.T @ QG + Rbig)
+        GQG, GQP, c_x = state_cost_blocks(Phi, Gamma, Q, P)
+        H = 2.0 * (GQG + np.kron(np.eye(N), R))
         self.H = _frozen(0.5 * (H + H.T))
         try:
             self.H_chol = np.asfortranarray(cholesky(self.H, lower=True))
@@ -182,8 +194,7 @@ class HorizonOperators:
         self.box_lo = _frozen(np.tile(u_lo, N))
         self.box_hi = _frozen(np.tile(u_hi, N))
         # g = g_x x0 and const = x0^T c_x x0.
-        self.g_x = _frozen(2.0 * (QG.T @ Phi))
-        c_x = Q + Phi.T @ Qbig @ Phi
+        self.g_x = _frozen(2.0 * GQP)
         self._c_x = _frozen(0.5 * (c_x + c_x.T))
 
         # The balls' rows of x(N), stacked: ball_map holds their rows of

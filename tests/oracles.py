@@ -76,6 +76,13 @@ def horizon_cost(A, B, Q, P, R, x0, u_seq):
     return total
 
 
+def stage_sum_cc(A, B, Qtilde, Ptilde, x0, u_seq):
+    """Coupled cost by simulation: Qtilde summed over x(0..N-1), Ptilde at
+    x(N), no input term; u_seq has shape (m, N)."""
+    m = np.asarray(u_seq).shape[0]
+    return horizon_cost(A, B, Qtilde, Ptilde, np.zeros((m, m)), x0, u_seq)
+
+
 def lyapunov_fixed_point(F, W, iters=20000):
     """Solve F'PF + W = P by plain summation of the convergent series."""
     F = np.asarray(F, dtype=float)

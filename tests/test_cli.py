@@ -266,6 +266,13 @@ class TestFailureModes:
         assert "configuration error: %s: must be an integer >= 1" % args[-2] in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "montecarlo"])
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, capsys, command):
+        code = run([command, "--config", str(example_config_path()), "--out-dir", str(tmp_path), "--seed", "-1"])
+        assert code == 2
+        assert "configuration error: --seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_configured_zero_steps_rejected(self, tmp_path, capsys):
         doc = flagship_dict()
         doc["sim"]["steps"] = 0

@@ -32,7 +32,7 @@ from coopmpc import (
 
 from coopmpc.qp import INFEASIBLE, MAX_ITERS
 
-from oracles import horizon_cost
+from oracles import horizon_cost, stage_sum_cc
 from support import X0_EXP1, assemble, noiter_verdicts, random_certified_problem
 
 FLAGSHIP_HEADER = (
@@ -84,6 +84,23 @@ class TestCostAccounting:
                 want = stage_sum_gc(prob, xbar, seqs)
                 assert abs(global_cost(prob, xbar, seqs) - want) <= 1e-12 * abs(want)
                 assert evaluate_cost(prob, xbar, seqs)[0] == global_cost(prob, xbar, seqs)
+
+    @pytest.mark.parametrize("which", ["flagship", "separable", "random"])
+    def test_coupled_cost_matches_stage_sum(self, flagship, rng_factory, which):
+        rng = rng_factory(88)
+        prob = {"flagship": flagship, "separable": flagship.separable()}.get(which) or random_certified_problem(rng)
+        tc = prob.tcost
+        u_max = np.concatenate(prob.u_max)
+        # plans inside the input box, then up to three times outside it
+        for scale in (1.0, 3.0):
+            for _ in range(10):
+                xbar = rng.uniform(-8.0, 8.0, size=prob.n)
+                seqs = InputSequenceSet(scale * u_max * rng.uniform(-1.0, 1.0, size=(prob.N, len(u_max))), prob.m)
+                want = stage_sum_cc(prob.A_big, prob.B_big, tc.Qtilde, tc.Ptilde, xbar, seqs.stage.T)
+                got = evaluate_cost(prob, xbar, seqs)[1]
+                assert abs(got - want) <= 1e-12 * abs(want)
+                if which == "separable":
+                    assert got == 0.0
 
     def test_coupling_share_vanishes_on_separable(self, flagship, rng_factory):
         rng = rng_factory(81)

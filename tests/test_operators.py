@@ -188,6 +188,41 @@ class TestCacheIsolation:
         assert_same_qp(local_qp(heavy, 2, xbar0[s]), fresh_local(heavy, 2, xbar0[s]))
 
 
+def fresh_coupled_blocks(problem):
+    """(A, B, C) of the coupled cost from Phi and Gamma built anew by powers of A_big."""
+    A, B, tc, N = problem.A_big, problem.B_big, problem.tcost, problem.N
+    powers = [np.linalg.matrix_power(A, k) for k in range(N + 1)]
+    Phi = np.vstack(powers[1:])
+    Gamma = np.block(
+        [[powers[k - 1 - j] @ B if j < k else np.zeros_like(B) for j in range(N)] for k in range(1, N + 1)]
+    )
+    Qbig = block_diag(*([tc.Qtilde] * (N - 1) + [tc.Ptilde]))
+    return Gamma.T @ Qbig @ Gamma, Gamma.T @ Qbig @ Phi, tc.Qtilde + Phi.T @ Qbig @ Phi
+
+
+class TestCoupledCostBlocks:
+    def test_match_fresh_products(self, flagship):
+        for got, want in zip(flagship.coupled_cost_blocks(), fresh_coupled_blocks(flagship)):
+            close(got, want)
+
+    def test_built_once_and_read_only(self, flagship):
+        blocks = flagship.coupled_cost_blocks()
+        assert flagship.coupled_cost_blocks() is blocks
+        for block in blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
+    def test_copies_start_empty(self, flagship):
+        flagship.coupled_cost_blocks()
+        sep = flagship.separable()
+        heavy = replace(flagship, tcost=replace(flagship.tcost, Ptilde=2.0 * flagship.tcost.Ptilde))
+        assert not sep._operators and not heavy._operators
+        assert not any(np.any(block) for block in sep.coupled_cost_blocks())
+        for got, want in zip(heavy.coupled_cost_blocks(), fresh_coupled_blocks(heavy)):
+            close(got, want)
+        assert not np.array_equal(heavy.coupled_cost_blocks()[0], flagship.coupled_cost_blocks()[0])
+
+
 class TestReadOnly:
     def test_shared_arrays_reject_writes(self, flagship, states):
         qp = flagship.centralized_operators().condense(states[0])
