@@ -24,15 +24,17 @@ regrouped
     with Abar_i = diag(A_1i, ..., A_Mi) and Btilde_i = [B_1i; ...; B_Mi].
 
 The orderings are linked by the permutation x = T xbar.  T is orthogonal
-(T^T T = I), so the inverse transform is the transpose.  Zero-dimensional
-blocks (n_ij = 0) are permitted and simply skipped.
+(T^T T = I), so the inverse transform is the transpose.  T is 0/1, so both
+transforms are applied as index permutations (xbar = x[perm]), which give
+the dense products exactly.  Zero-dimensional blocks (n_ij = 0) are
+permitted and simply skipped.
 
 Cost weights follow the same conventions: per-subsystem weights Q_i / P_i
 (over [x_i1, ..., x_iM]) with scalar priorities rho_i combine into global
 matrices that the same permutation maps into the regrouped ordering.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -135,26 +137,60 @@ class PermutationMap:
     """Orthogonal permutation x = T xbar between the two orderings.
 
     bar_dims[j] is the dimension of group j in the regrouped ordering,
-    the column sums of the dims table.
+    the column sums of the dims table.  perm is the index form of T
+    (T[perm[k], k] = 1, so T^T x = x[perm]); it and the group slices are
+    derived once, on construction.
     """
 
     T: np.ndarray
     dims: np.ndarray
     bar_dims: tuple
+    perm: np.ndarray = field(init=False, repr=False)
+    _slices: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.perm = np.argmax(self.T, axis=0)
+        self._slices = tuple(block_slices(self.bar_dims))
 
     @property
     def n(self):
         return self.T.shape[0]
 
     def group_slices(self):
-        return block_slices(self.bar_dims)
+        return self._slices
 
     def to_regrouped(self, x):
-        """Map a vector from the original to the regrouped ordering."""
-        return self.T.T @ np.asarray(x, dtype=float)
+        """Map a vector (or the rows of a matrix) from the original to the
+        regrouped ordering: T^T x."""
+        return self._rows(x)[self.perm]
 
     def to_original(self, xbar):
-        return self.T @ np.asarray(xbar, dtype=float)
+        """Map a vector (or the rows of a matrix) back: T xbar."""
+        xbar = self._rows(xbar)
+        out = np.empty_like(xbar)
+        out[self.perm] = xbar
+        return out
+
+    def to_regrouped_matrix(self, X):
+        """Congruence T^T X T of an n x n matrix in the original ordering."""
+        return self._rows(X, square=True)[np.ix_(self.perm, self.perm)]
+
+    def to_original_matrix(self, Xbar):
+        """Congruence T Xbar T^T of an n x n matrix in the regrouped ordering."""
+        Xbar = self._rows(Xbar, square=True)
+        out = np.empty_like(Xbar)
+        out[np.ix_(self.perm, self.perm)] = Xbar
+        return out
+
+    def _rows(self, X, square=False):
+        X = np.asarray(X, dtype=float)
+        n = self.n
+        if X.ndim == 0 or X.shape[0] != n or (square and X.shape != (n, n)):
+            raise DimensionMismatch(
+                "expected %s with %d rows, got shape %r"
+                % ("a square matrix" if square else "an array", n, X.shape)
+            )
+        return X
 
 
 @dataclass(eq=False)
@@ -319,8 +355,7 @@ def transform_plant(plant, pmap):
     """
     if not np.array_equal(plant.dims, pmap.dims):
         raise DimensionMismatch("plant and permutation were built from different dims tables")
-    T = pmap.T
-    Ab = T.T @ plant.A @ T
+    Ab = pmap.to_regrouped_matrix(plant.A)
     slices = pmap.group_slices()
     M = len(slices)
     off_mask = np.ones_like(Ab, dtype=bool)
@@ -331,7 +366,7 @@ def transform_plant(plant, pmap):
     Abar = tuple(Ab[s, s].copy() for s in slices)
     Btilde = []
     for i in range(M):
-        Bi = T.T @ plant.B[i]
+        Bi = pmap.to_regrouped(plant.B[i])
         outside = np.ones(Bi.shape[0], dtype=bool)
         outside[slices[i]] = False
         if np.any(Bi[outside, :] != 0.0):
@@ -362,13 +397,12 @@ def transform_cost(cost, pmap):
             raise DimensionMismatch(
                 "P[%d] must be %dx%d for this dims table" % (i, row_sizes[i], row_sizes[i])
             )
-    T = pmap.T
     Qglob = block_diag(*[cost.rho[i] * cost.Q[i] for i in range(M)])
-    Qbar = symmetrize(T.T @ Qglob @ T)
+    Qbar = symmetrize(pmap.to_regrouped_matrix(Qglob))
     Qa = _group_diagonal(Qbar, pmap)
     if cost.P is not None:
         Pglob = block_diag(*[cost.rho[i] * cost.P[i] for i in range(M)])
-        Pbar = symmetrize(T.T @ Pglob @ T)
+        Pbar = symmetrize(pmap.to_regrouped_matrix(Pglob))
         Pa = _group_diagonal(Pbar, pmap)
         Ptilde = Pbar - Pa
     else:

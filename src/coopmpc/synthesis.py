@@ -6,6 +6,7 @@ condition that the block-diagonal terminal weights must satisfy, and scales
 candidate weights until the certificate holds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import (
+    check_pd,
     min_eigenvalue,
     require_square,
     spectral_norm,
@@ -202,10 +204,6 @@ class TerminalIngredients:
     alpha: float
     lyapunov_residual: float
 
-    @property
-    def AK_global(self):
-        return block_diag(*self.AK)
-
     def certified(self):
         """True when the global decrease certificate holds.
 
@@ -221,17 +219,24 @@ class TerminalIngredients:
 
 
 def candidate_alphas(alpha_max=ALPHA_MAX):
-    """The scaling sweep 1, 1.5, 2, 3, 5, 10, 15, ... up to alpha_max."""
+    """The scaling sweep 1, 1.5, 2, 3, 5, 10, 15, ... up to alpha_max.
+
+    alpha_max must be finite and at least 1; anything else raises
+    SelectionFailed.
+    """
+    limit = float(alpha_max)
+    if not (math.isfinite(limit) and limit >= 1.0):
+        raise SelectionFailed("alpha_max must be a finite number >= 1, got %r" % (alpha_max,))
     out = []
     scale = 1.0
-    while scale <= alpha_max:
+    while scale <= limit:
         for m in ALPHA_MANTISSAS:
             a = m * scale
-            if a <= alpha_max:
+            if a <= limit:
                 out.append(a)
         scale *= 10.0
-    if out[-1] < alpha_max:
-        out.append(alpha_max)
+    if out[-1] < limit:
+        out.append(limit)
     return out
 
 
@@ -242,26 +247,38 @@ def select_terminal_weights(cost, tplant, Phat, AK_global, alpha_max=ALPHA_MAX):
     truncated to its per-subsystem diagonal blocks, and divided by the
     priorities to give base weights P_i^0.  The candidates alpha * P_i^0
     are swept over an increasing grid until the global decrease check
-    passes.  Returns (P list, alpha, certificate).
+    passes.
+
+    The certificate is linear in alpha: with Pbar1 the regrouped weight of
+    the base weights, S1 = Pbar1 - AK^T Pbar1 AK and Shat = Phat - AK^T
+    Phat AK, candidate alpha passes when alpha S1 - Shat is positive
+    semidefinite up to CERT_TOL * (1 + ||alpha Pbar1 - Phat||_2), the
+    tolerance of check_prop1.  S1 and Shat are formed once, so no
+    candidate rebuilds the cost.  Returns (P list, alpha, certificate);
+    the certificate is this linear form's, and `synthesize` recomputes
+    check_prop1 on the selected weights.
     """
+    alphas = candidate_alphas(alpha_max)
     pmap = tplant.map
-    T = pmap.T
     dims = pmap.dims
     M = dims.shape[0]
     row_sizes = [int(dims[i, :].sum()) for i in range(M)]
     starts = np.concatenate(([0], np.cumsum(row_sizes)))
-    P_orig = symmetrize(T @ Phat @ T.T)
+    P_orig = symmetrize(pmap.to_original_matrix(Phat))
     base = []
     for i in range(M):
         s = slice(int(starts[i]), int(starts[i + 1]))
         base.append(symmetrize(P_orig[s, s] / cost.rho[i]))
-    for alpha in candidate_alphas(alpha_max):
-        P_list = tuple(alpha * Pi for Pi in base)
-        trial = CostSpec(Q=cost.Q, R=cost.R, rho=cost.rho, N=cost.N, P=P_list)
-        tc = transform_cost(trial, pmap)
-        cert = check_prop1(tc.Pbar, Phat, AK_global)
-        if cert.holds:
-            return P_list, alpha, cert
+        check_pd(base[i], "P[%d]" % i)
+    AK = require_square(AK_global, "AK_global")
+    Pbar1 = symmetrize(pmap.to_regrouped_matrix(block_diag(*[r * Pi for r, Pi in zip(cost.rho, base)])))
+    S1 = Pbar1 - AK.T @ Pbar1 @ AK
+    Shat = Phat - AK.T @ Phat @ AK
+    for alpha in alphas:
+        margin = min_eigenvalue(alpha * S1 - Shat)
+        if margin >= -CERT_TOL * (1.0 + spectral_norm(alpha * Pbar1 - Phat)):
+            P_list = tuple(alpha * Pi for Pi in base)
+            return P_list, alpha, CertCheck(holds=True, margin=margin)
     raise SelectionFailed("no scaling up to %.1e satisfied the decrease certificate" % alpha_max)
 
 
@@ -302,17 +319,18 @@ def synthesize(tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=None):
         AK.append(tplant.Abar[i] + tplant.Btilde[i] @ Ki)
     AKg = block_diag(*AK)
     Kg = block_diag(*K)
-    tc0 = transform_cost(CostSpec(Q=cost.Q, R=cost.R, rho=cost.rho, N=cost.N), pmap)
+    tc0 = transform_cost(cost, pmap)
     W = symmetrize(tc0.Qbar + Kg.T @ tc0.Rglobal @ Kg)
     Phat = solve_discrete_lyapunov(AKg, W)
     resid = float(np.max(np.abs(AKg.T @ Phat @ AKg + W - Phat)))
     if cost.P is None:
-        P_list, alpha, prop1 = select_terminal_weights(cost, tplant, Phat, AKg)
+        P_list, alpha, _ = select_terminal_weights(cost, tplant, Phat, AKg)
         final = CostSpec(Q=cost.Q, R=cost.R, rho=cost.rho, N=cost.N, P=P_list)
+        tcost = transform_cost(final, pmap)
     else:
         final = cost
         alpha = None
-    tcost = transform_cost(final, pmap)
+        tcost = tc0
     prop1 = check_prop1(tcost.Pbar, Phat, AKg)
     prop2 = tuple(check_prop2_blocks(tcost.Pbar, Phat, AK, pmap.bar_dims))
     dd_holds, dd_slack = check_corollary_dd(tcost.Pbar, Phat, AKg)

@@ -132,3 +132,76 @@ def solve_one_ball_qp_bisection(H, g, lo, hi, Tmap, tvec, radius, iters=60):
         else:
             below = mid
     return point(above)
+
+
+def _sym(X):
+    return 0.5 * (X + X.T)
+
+
+def _block_diag(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    k = 0
+    for b in blocks:
+        out[k : k + b.shape[0], k : k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
+def dense_regroup(T, bar_dims, W, rho):
+    """(full, group-diagonal part) of the regrouped weight of the
+    per-subsystem weights W: each W_i is symmetrized as a cost spec ingests
+    it, stacked as diag(rho_i W_i), moved by the dense product T^T W T and
+    symmetrized again."""
+    full = _sym(T.T @ _block_diag([r * _sym(np.asarray(Wi, dtype=float)) for r, Wi in zip(rho, W)]) @ T)
+    diag = np.zeros_like(full)
+    k = 0
+    for d in bar_dims:
+        diag[k : k + d, k : k + d] = full[k : k + d, k : k + d]
+        k += d
+    return full, diag
+
+
+def dense_transform_cost(T, bar_dims, Q, R, rho, P=None):
+    """The arrays of `TransformedCost`, by dense products with T, as a dict."""
+    Qbar, Qa = dense_regroup(T, bar_dims, Q, rho)
+    out = {"Qbar": Qbar, "Qa": Qa, "Qtilde": Qbar - Qa}
+    if P is not None:
+        Pbar, Pa = dense_regroup(T, bar_dims, P, rho)
+        out.update(Pbar=Pbar, Pa=Pa, Ptilde=Pbar - Pa)
+    Rlocal = [r * _sym(np.atleast_2d(np.asarray(Ri, dtype=float))) for r, Ri in zip(rho, R)]
+    out.update(Rlocal=Rlocal, Rglobal=_block_diag(Rlocal))
+    return out
+
+
+def prop1_check(Pbar, Phat, AK, tol=1e-9):
+    """(holds, margin) of the global decrease certificate: with Delta =
+    Pbar - Phat, the least eigenvalue of Delta - AK' Delta AK against
+    -tol * (1 + ||Delta||_2)."""
+    Delta = _sym(Pbar - Phat)
+    S = _sym(Delta - AK.T @ Delta @ AK)
+    margin = float(np.linalg.eigvalsh(_sym(S))[0])
+    return bool(margin >= -tol * (1.0 + float(np.linalg.norm(Delta, 2)))), margin
+
+
+def sweep_terminal_weights(T, dims, rho, Phat, AK, alphas, tol=1e-9):
+    """Terminal-weight selection by rebuilding the cost for every candidate.
+
+    Phat is moved to the original ordering, cut into its per-subsystem
+    diagonal blocks and divided by the priorities; for each alpha in turn
+    the regrouped weight of alpha times those blocks is formed with dense
+    products and checked with `prop1_check`.  Returns (P list, alpha,
+    margin) of the first candidate that passes, or None.
+    """
+    dims = np.asarray(dims)
+    rows = np.concatenate(([0], np.cumsum(dims.sum(axis=1))))
+    P_orig = _sym(T @ Phat @ T.T)
+    base = [_sym(P_orig[rows[i] : rows[i + 1], rows[i] : rows[i + 1]] / rho[i]) for i in range(len(rho))]
+    bar_dims = dims.sum(axis=0)
+    for alpha in alphas:
+        P_list = [alpha * Pi for Pi in base]
+        Pbar, _ = dense_regroup(T, bar_dims, P_list, rho)
+        holds, margin = prop1_check(Pbar, Phat, AK, tol)
+        if holds:
+            return P_list, alpha, margin
+    return None

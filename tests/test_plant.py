@@ -18,6 +18,7 @@ from coopmpc import (
 )
 from coopmpc.plant import CompositePlant
 
+from oracles import dense_transform_cost
 from support import random_dims, random_spd
 
 
@@ -67,6 +68,44 @@ class TestPermutation:
         pmap = build_permutation(random_dims(rng, M_max=4))
         assert np.array_equal(pmap.T.sum(axis=0), np.ones(pmap.n))
         assert np.array_equal(pmap.T.sum(axis=1), np.ones(pmap.n))
+
+    def test_index_maps_equal_dense_products(self, rng_factory):
+        # T is 0/1, so indexing by the permutation gives T's products exactly
+        rng = rng_factory(13)
+        zero_blocks = 0
+        for _ in range(40):
+            dims = random_dims(rng, M_max=4)
+            zero_blocks += int(np.sum(dims == 0))
+            pmap = build_permutation(dims)
+            T = pmap.T
+            n = pmap.n
+            x = rng.normal(size=n)
+            X = rng.normal(size=(n, 3))
+            S = rng.normal(size=(n, n))
+            assert np.array_equal(pmap.to_regrouped(x), T.T @ x)
+            assert np.array_equal(pmap.to_original(x), T @ x)
+            assert np.array_equal(pmap.to_regrouped(X), T.T @ X)
+            assert np.array_equal(pmap.to_original(X), T @ X)
+            assert np.array_equal(pmap.to_regrouped_matrix(S), T.T @ S @ T)
+            assert np.array_equal(pmap.to_original_matrix(S), T @ S @ T.T)
+        assert zero_blocks > 0
+
+    def test_index_maps_reject_wrong_length(self):
+        pmap = build_permutation([[1, 1], [1, 1]])
+        for bad in (np.zeros(3), np.zeros(5), np.array(1.0)):
+            with pytest.raises(DimensionMismatch):
+                pmap.to_regrouped(bad)
+            with pytest.raises(DimensionMismatch):
+                pmap.to_original(bad)
+        with pytest.raises(DimensionMismatch):
+            pmap.to_regrouped_matrix(np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            pmap.to_original_matrix(np.zeros((3, 3)))
+
+    def test_group_slices_built_once(self):
+        pmap = build_permutation([[1, 2], [0, 1]])
+        assert pmap.group_slices() is pmap.group_slices()
+        assert pmap.group_slices() == (slice(0, 1), slice(1, 4))
 
     def test_undriven_column_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -171,6 +210,25 @@ class TestTransformPlant:
             Bi[slices[i]] = tp.Btilde[i]
             assert np.max(np.abs(T @ Bi - plant.B[i])) <= 1e-12
 
+    def test_index_transform_equals_dense_products(self, rng_factory):
+        rng = rng_factory(34)
+        zero_blocks = 0
+        for _ in range(30):
+            dims = random_dims(rng, M_max=4, nonempty_rows=True)
+            zero_blocks += int(np.sum(dims == 0))
+            M = dims.shape[0]
+            A = [[rng.normal(size=(dims[i, j], dims[i, j])) for j in range(M)] for i in range(M)]
+            B = [[rng.normal(size=(dims[i, j], 2)) for j in range(M)] for i in range(M)]
+            plant = build_composite(SubsystemBlocks(dims=dims, A=A, B=B, m=(2,) * M))
+            pmap = build_permutation(dims)
+            tp = transform_plant(plant, pmap)
+            T = pmap.T
+            Ab = T.T @ plant.A @ T
+            for i, s in enumerate(pmap.group_slices()):
+                assert np.array_equal(tp.Abar[i], Ab[s, s])
+                assert np.array_equal(tp.Btilde[i], (T.T @ plant.B[i])[s, :])
+        assert zero_blocks > 0
+
     def test_cross_block_coupling_rejected(self):
         blocks, _, _ = scalar_two_agent()
         plant = build_composite(blocks)
@@ -240,6 +298,32 @@ class TestTransformCost:
         got = np.sort(np.linalg.eigvalsh(tc.Qbar))
         want = np.sort(np.linalg.eigvalsh(block_diag(*[rho[i] * Q[i] for i in range(M)])))
         assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_index_transform_equals_dense_products(self, rng_factory):
+        rng = rng_factory(44)
+        zero_blocks = 0
+        for _ in range(30):
+            dims = random_dims(rng, M_max=4, nonempty_rows=True)
+            zero_blocks += int(np.sum(dims == 0))
+            M = dims.shape[0]
+            pmap = build_permutation(dims)
+            rows = [int(r) for r in dims.sum(axis=1)]
+            cost = CostSpec(
+                Q=[random_spd(rng, r, eps=0.3) for r in rows],
+                R=[random_spd(rng, 2, eps=0.3) for _ in range(M)],
+                rho=rng.uniform(0.5, 2.0, size=M),
+                N=2,
+                P=[random_spd(rng, r, eps=0.3) for r in rows],
+            )
+            tc = transform_cost(cost, pmap)
+            want = dense_transform_cost(pmap.T, pmap.bar_dims, cost.Q, cost.R, cost.rho, cost.P)
+            for name, arr in want.items():
+                got = getattr(tc, name)
+                if name == "Rlocal":
+                    assert all(np.array_equal(g, w) for g, w in zip(got, arr))
+                else:
+                    assert np.array_equal(got, arr), name
+        assert zero_blocks > 0
 
     def test_split_structure(self, flagship):
         tc = flagship.tcost

@@ -16,6 +16,7 @@ from coopmpc import (
     check_prop1,
     check_prop2_blocks,
     lqr_gain,
+    select_terminal_weights,
     solve_discrete_lyapunov,
     synthesize,
     transform_plant,
@@ -23,10 +24,39 @@ from coopmpc import (
 )
 from coopmpc.synthesis import candidate_alphas
 
-from oracles import lyapunov_fixed_point
-from support import assemble, random_spd
+from oracles import (
+    dense_regroup,
+    dense_transform_cost,
+    lyapunov_fixed_point,
+    prop1_check,
+    sweep_terminal_weights,
+)
+from support import assemble, random_certified_problem, random_spd, scaled_block
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def decoupled_problem(rng):
+    """Two agents, each driving only its own subsystem."""
+    dims = np.array([[2, 0], [0, 1]])
+    A = [[0.7 * np.eye(2), np.zeros((0, 0))], [np.zeros((0, 0)), [[0.5]]]]
+    B = [
+        [rng.uniform(0.5, 1.0, size=(2, 1)), np.zeros((0, 1))],
+        [np.zeros((0, 1)), [[1.0]]],
+    ]
+    blocks = SubsystemBlocks(dims=dims, A=A, B=B, m=(1, 1))
+    rho = (1.4, 0.8)
+    Q = [random_spd(rng, 2), random_spd(rng, 1)]
+    R = [[[1.0]], [[0.7]]]
+    cost = CostSpec(Q=Q, R=R, rho=rho, N=3)
+    return assemble(
+        blocks,
+        cost,
+        lqr_Q=[rho[0] * Q[0], rho[1] * Q[1]],
+        lqr_R=[rho[0] * np.asarray(R[0]), rho[1] * np.asarray(R[1])],
+        radii=[1.0, 1.0],
+        u_max=[np.array([10.0]), np.array([10.0])],
+    )
 
 
 class TestLyapunov:
@@ -228,29 +258,24 @@ class TestSelection:
         assert grid[-1] == 1e6
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
+    def test_sweep_grid_ends_at_its_limit(self):
+        assert candidate_alphas(1.0) == [1.0]
+        assert candidate_alphas(4.0) == [1.0, 1.5, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("alpha_max", [0.5, float("nan"), float("inf")])
+    def test_invalid_sweep_limit_rejected(self, flagship, alpha_max):
+        with pytest.raises(SelectionFailed, match="alpha_max must be a finite number >= 1, got %r" % alpha_max):
+            candidate_alphas(alpha_max)
+        ing = flagship.ingredients
+        with pytest.raises(SelectionFailed, match="got %r" % alpha_max):
+            select_terminal_weights(
+                flagship.cost, flagship.tplant, ing.Phat, block_diag(*ing.AK), alpha_max=alpha_max
+            )
+
     def test_decoupled_instance_needs_no_scaling(self, rng_factory):
         # with no cross-subsystem state blocks the regrouping is the
         # identity and the ideal weight is already block diagonal
-        rng = rng_factory(7)
-        dims = np.array([[2, 0], [0, 1]])
-        A = [[0.7 * np.eye(2), np.zeros((0, 0))], [np.zeros((0, 0)), [[0.5]]]]
-        B = [
-            [rng.uniform(0.5, 1.0, size=(2, 1)), np.zeros((0, 1))],
-            [np.zeros((0, 1)), [[1.0]]],
-        ]
-        blocks = SubsystemBlocks(dims=dims, A=A, B=B, m=(1, 1))
-        rho = (1.4, 0.8)
-        Q = [random_spd(rng, 2), random_spd(rng, 1)]
-        R = [[[1.0]], [[0.7]]]
-        cost = CostSpec(Q=Q, R=R, rho=rho, N=3)
-        prob = assemble(
-            blocks,
-            cost,
-            lqr_Q=[rho[0] * Q[0], rho[1] * Q[1]],
-            lqr_R=[rho[0] * np.asarray(R[0]), rho[1] * np.asarray(R[1])],
-            radii=[1.0, 1.0],
-            u_max=[np.array([10.0]), np.array([10.0])],
-        )
+        prob = decoupled_problem(rng_factory(7))
         ing = prob.ingredients
         assert ing.alpha == 1.0
         gap = prob.tcost.Pbar - ing.Phat
@@ -347,3 +372,104 @@ class TestSynthesize:
         if ing.dd_holds:
             assert ing.prop1.margin >= -1e-9
         assert np.isfinite(ing.dd_slack)
+
+
+def same_bytes(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_matches_sweep_oracle(pmap, cost, tcost, ing):
+    """The weights and certificates `synthesize` returned with automatic
+    selection equal the per-candidate dense sweep's, byte for byte."""
+    AK = block_diag(*ing.AK)
+    ref = sweep_terminal_weights(pmap.T, pmap.dims, cost.rho, ing.Phat, AK, candidate_alphas())
+    assert ref is not None
+    P_list, alpha, margin = ref
+    assert ing.alpha == alpha
+    assert all(same_bytes(got, want) for got, want in zip(cost.P, P_list))
+    want = dense_transform_cost(pmap.T, pmap.bar_dims, cost.Q, cost.R, cost.rho, P_list)
+    for name, arr in want.items():
+        got = getattr(tcost, name)
+        if name == "Rlocal":
+            assert all(same_bytes(g, w) for g, w in zip(got, arr)), name
+        else:
+            assert same_bytes(got, arr), name
+    Pbar = want["Pbar"]
+    assert (ing.prop1.holds, ing.prop1.margin) == prop1_check(Pbar, ing.Phat, AK) == (True, margin)
+    ref2 = check_prop2_blocks(Pbar, ing.Phat, ing.AK, pmap.bar_dims)
+    assert [(c.holds, c.margin) for c in ing.prop2] == [(c.holds, c.margin) for c in ref2]
+    assert (ing.dd_holds, ing.dd_slack) == check_corollary_dd(Pbar, ing.Phat, AK)
+
+
+def random_network_case(rng):
+    """(tplant, cost without P, lqr_Q, lqr_R) of a random M = 2..4 network.
+
+    One input per agent, zero blocks off the diagonal of the dims table,
+    dynamics blocks up to spectral norm 1.2, priorities 0.3..3 and LQR
+    input weights 1..80, so the selected scaling ranges from 1 to hundreds
+    and some instances admit none.
+    """
+    M = int(rng.integers(2, 5))
+    dims = rng.integers(0, 3, size=(M, M))
+    np.fill_diagonal(dims, rng.integers(1, 3, size=M))
+    A = [[scaled_block(rng, int(dims[i, j]), rng.uniform(0.3, 1.2)) for j in range(M)] for i in range(M)]
+    B = [[rng.uniform(-1.0, 1.0, size=(int(dims[i, j]), 1)) for j in range(M)] for i in range(M)]
+    blocks = SubsystemBlocks(dims=dims, A=A, B=B, m=(1,) * M)
+    cost = CostSpec(
+        Q=[random_spd(rng, int(r)) for r in dims.sum(axis=1)],
+        R=[[[rng.uniform(0.5, 1.5)]] for _ in range(M)],
+        rho=rng.uniform(0.3, 3.0, size=M),
+        N=3,
+    )
+    pmap = build_permutation(dims)
+    tplant = transform_plant(build_composite(blocks), pmap)
+    lqr_Q = [rng.uniform(0.1, 10.0) * np.eye(d) for d in pmap.bar_dims]
+    lqr_R = [[[rng.uniform(1.0, 80.0)]] for _ in range(M)]
+    return tplant, cost, lqr_Q, lqr_R
+
+
+class TestLinearSweep:
+    def test_flagship_matches_oracle(self, flagship):
+        assert flagship.ingredients.alpha == 3.0
+        assert_matches_sweep_oracle(flagship.pmap, flagship.cost, flagship.tcost, flagship.ingredients)
+
+    def test_decoupled_instance_matches_oracle(self, rng_factory):
+        prob = decoupled_problem(rng_factory(7))
+        assert_matches_sweep_oracle(prob.pmap, prob.cost, prob.tcost, prob.ingredients)
+
+    def test_random_certified_problems_match_oracle(self, rng_factory):
+        for seed in range(100):
+            prob = random_certified_problem(rng_factory(1000 + seed))
+            assert_matches_sweep_oracle(prob.pmap, prob.cost, prob.tcost, prob.ingredients)
+
+    def test_random_networks_match_oracle(self, rng_factory):
+        rng = rng_factory(16)
+        alphas = []
+        for _ in range(80):
+            tplant, cost, lqr_Q, lqr_R = random_network_case(rng)
+            M = tplant.M
+            args = (lqr_Q, lqr_R, [1.0] * M, [np.array([10.0])] * M)
+            # explicit weights skip the selection, giving Phat and AK alone
+            eye = [np.eye(int(r)) for r in tplant.map.dims.sum(axis=1)]
+            ing, _, _ = synthesize(tplant, CostSpec(Q=cost.Q, R=cost.R, rho=cost.rho, N=cost.N, P=eye), *args)
+            AK = block_diag(*ing.AK)
+            ref = sweep_terminal_weights(tplant.map.T, tplant.map.dims, cost.rho, ing.Phat, AK, candidate_alphas())
+            if ref is None:
+                with pytest.raises(SelectionFailed):
+                    select_terminal_weights(cost, tplant, ing.Phat, AK)
+                with pytest.raises(SelectionFailed):
+                    synthesize(tplant, cost, *args)
+                alphas.append(None)
+                continue
+            P_list, alpha, cert = select_terminal_weights(cost, tplant, ing.Phat, AK)
+            assert alpha == ref[1] and cert.holds
+            assert all(same_bytes(got, want) for got, want in zip(P_list, ref[0]))
+            Pbar, _ = dense_regroup(tplant.map.T, tplant.map.bar_dims, P_list, cost.rho)
+            assert abs(cert.margin - ref[2]) <= 1e-9 * (1.0 + np.linalg.norm(Pbar, 2))
+            ing2, final, tcost = synthesize(tplant, cost, *args)
+            assert_matches_sweep_oracle(tplant.map, final, tcost, ing2)
+            alphas.append(alpha)
+        # the family reaches both outcomes and scalings well past the first few
+        assert None in alphas and max(a for a in alphas if a is not None) >= 10.0
