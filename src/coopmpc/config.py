@@ -127,14 +127,40 @@ def _number(section, key, default, where):
     return float(value)
 
 
+def _is_whole(value):
+    """A whole JSON number: an int (not a bool) or a float with no fraction."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _is_numeric(value):
+    """A finite JSON number or a list, possibly nested, of them."""
+    if isinstance(value, list):
+        return all(_is_numeric(v) for v in value)
+    return _is_number(value)
+
+
 def _integer(section, key, default, where):
     """section[key], or default when absent, as an int; a whole JSON number."""
     value = section.get(key, default)
-    _expect(
-        _is_number(value) and (isinstance(value, int) or value.is_integer()),
-        "%s.%s: must be an integer" % (where, key),
-    )
+    _expect(_is_whole(value), "%s.%s: must be an integer" % (where, key))
     return int(value)
+
+
+def _is_positive(value):
+    return _is_number(value) and value > 0
+
+
+def _is_bound(value):
+    """An input bound: a finite number >= 0 or a nonempty flat list of them."""
+    values = value if isinstance(value, list) and value else [value]
+    return all(_is_number(v) and v >= 0 for v in values)
+
+
+def _per_agent(values, M, where, entry=_is_numeric, what="a number or a matrix of finite numbers"):
+    """Raise ConfigError unless `values` is a list of M entries that pass `entry`."""
+    _expect(isinstance(values, list) and len(values) == M, "%s: need one entry per agent" % where)
+    for i, v in enumerate(values):
+        _expect(entry(v), "%s[%d]: must be %s" % (where, i, what))
 
 
 def config_from_dict(doc):
@@ -150,7 +176,7 @@ def config_from_dict(doc):
     B = _require(sub_doc, "B", "subsystems")
     for name, table in (("A", A), ("B", B)):
         _expect(
-            isinstance(table, list) and len(table) == M and all(len(r) == M for r in table),
+            isinstance(table, list) and len(table) == M and all(isinstance(r, list) and len(r) == M for r in table),
             "subsystems.%s: expected an %dx%d table of blocks" % (name, M, M),
         )
     sub = SubsystemsConfig(dims=dims, A=A, B=B)
@@ -164,25 +190,24 @@ def config_from_dict(doc):
         P=cost_doc.get("P", "auto"),
     )
     _expect(cost.Q is not None or cost.Qblocks is not None, "cost: need Q or Qblocks")
-    _expect(len(cost.R) == M, "cost.R: need one entry per agent")
-    _expect(len(cost.rho) == M, "cost.rho: need one entry per agent")
-    for i, r in enumerate(cost.rho):
-        _expect(isinstance(r, (int, float)) and r > 0, "cost.rho[%d]: must be positive" % i)
+    for key in ("Q", "Qblocks", "R"):
+        if getattr(cost, key) is not None:
+            _per_agent(getattr(cost, key), M, "cost." + key)
+    _per_agent(cost.rho, M, "cost.rho", _is_positive, "positive and finite")
     if cost.P != "auto":
         _expect(isinstance(cost.P, list) and len(cost.P) == M, "cost.P: 'auto' or one matrix per agent")
+        _per_agent(cost.P, M, "cost.P")
 
     horizon = _require(doc, "horizon", "top level")
-    _expect(isinstance(horizon, int) and horizon >= 1, "horizon: must be an integer >= 1")
+    _expect(_is_whole(horizon) and horizon >= 1, "horizon: must be an integer >= 1")
+    horizon = int(horizon)
 
     input_box = _require(doc, "input_box", "top level")
-    _expect(isinstance(input_box, list) and len(input_box) == M, "input_box: one bound per agent")
+    _per_agent(input_box, M, "input_box", _is_bound, "a finite number >= 0 or a list of them")
 
     terminal_radius = doc.get("terminal_radius", "auto")
     if terminal_radius != "auto":
-        _expect(
-            isinstance(terminal_radius, list) and len(terminal_radius) == M,
-            "terminal_radius: 'auto' or one radius per agent",
-        )
+        _per_agent(terminal_radius, M, "terminal_radius", _is_positive, "positive and finite")
 
     lqr_doc = _require(doc, "lqr", "top level")
     lqr = LqrConfig(
@@ -190,7 +215,10 @@ def config_from_dict(doc):
         R=_require(lqr_doc, "R", "lqr"),
         K=lqr_doc.get("K"),
     )
-    _expect(len(lqr.Q) == M and len(lqr.R) == M, "lqr: need Q and R per agent")
+    _per_agent(lqr.Q, M, "lqr.Q")
+    _per_agent(lqr.R, M, "lqr.R")
+    if lqr.K is not None:
+        _per_agent(lqr.K, M, "lqr.K", lambda K: K is None or _is_numeric(K), "null or a matrix of numbers")
 
     solver_doc = doc.get("solver", {})
     _expect(isinstance(solver_doc, dict), "solver: expected an object")
@@ -314,9 +342,8 @@ def build_problem(cfg):
     pmap = build_permutation(blocks.dims)
     tplant = transform_plant(plant, pmap)
     M = blocks.M
-    dims = blocks.dims
-    row_sizes = [int(dims[i, :].sum()) for i in range(M)]
-    bar_sizes = list(pmap.bar_dims)
+    row_sizes = blocks.dims.sum(axis=1)
+    bar_sizes = pmap.bar_dims
     Q = _assemble_Q(cfg, row_sizes)
     R = [_weight_matrix(Ri, blocks.m[i], "cost.R[%d]" % i) for i, Ri in enumerate(cfg.cost.R)]
     if cfg.cost.P == "auto":
@@ -338,6 +365,9 @@ def build_problem(cfg):
         else [float(r) for r in cfg.terminal_radius]
     )
     u_max = [np.asarray(b, dtype=float).reshape(-1) for b in cfg.input_box]
+    for i, b in enumerate(u_max):
+        m_i = blocks.m[i]
+        _expect(b.size in (1, m_i), "input_box[%d]: expected one bound or one per input (%d)" % (i, m_i))
     ingredients, final_cost, tcost = synthesize(
         tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=gains
     )

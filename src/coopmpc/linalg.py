@@ -55,13 +55,7 @@ def check_pd(X, name="matrix", trace_tol=PD_TRACE_TOL):
         raise NotPD("%s is not positive definite (min eig %.3e, trace %.3e)" % (name, lam, tr))
 
 
-def block_starts(sizes):
-    """Cumulative start offsets for a list of block sizes."""
-    out = np.concatenate(([0], np.cumsum(np.asarray(sizes, dtype=int))))
-    return out
-
-
 def block_slices(sizes):
     """Slices selecting each block of a vector partitioned by `sizes`."""
-    starts = block_starts(sizes)
+    starts = np.concatenate(([0], np.cumsum(np.asarray(sizes, dtype=int))))
     return [slice(int(starts[k]), int(starts[k + 1])) for k in range(len(sizes))]

@@ -136,21 +136,28 @@ class CompositePlant:
 class PermutationMap:
     """Orthogonal permutation x = T xbar between the two orderings.
 
-    bar_dims[j] is the dimension of group j in the regrouped ordering,
-    the column sums of the dims table.  perm is the index form of T
-    (T[perm[k], k] = 1, so T^T x = x[perm]); it and the group slices are
-    derived once, on construction.
+    perm is the index form of T (T[perm[k], k] = 1, so T^T x = x[perm]).
+    T, the group sizes bar_dims (the column sums of the dims table), the
+    group slices and the regrouped positions of each subsystem's states
+    are derived from it once, on construction.
     """
 
-    T: np.ndarray
+    perm: np.ndarray
     dims: np.ndarray
-    bar_dims: tuple
-    perm: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
+    bar_dims: tuple = field(init=False)
     _slices: tuple = field(init=False, repr=False)
+    _subsystem_index: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.perm = np.argmax(self.T, axis=0)
+        n = self.perm.size
+        self.T = np.eye(n)[:, self.perm]
+        self.bar_dims = tuple(int(v) for v in self.dims.sum(axis=0))
         self._slices = tuple(block_slices(self.bar_dims))
+        # where[p] = regrouped position of original state p
+        where = np.empty(n, dtype=int)
+        where[self.perm] = np.arange(n)
+        self._subsystem_index = tuple(where[s] for s in block_slices(self.dims.sum(axis=1)))
 
     @property
     def n(self):
@@ -175,12 +182,25 @@ class PermutationMap:
         """Congruence T^T X T of an n x n matrix in the original ordering."""
         return self._rows(X, square=True)[np.ix_(self.perm, self.perm)]
 
-    def to_original_matrix(self, Xbar):
-        """Congruence T Xbar T^T of an n x n matrix in the regrouped ordering."""
-        Xbar = self._rows(Xbar, square=True)
-        out = np.empty_like(Xbar)
-        out[np.ix_(self.perm, self.perm)] = Xbar
+    def regroup_blocks(self, blocks, name="block"):
+        """T^T blkdiag(blocks) T, with blocks[i] the weight of subsystem i
+        over [x_i1, ..., x_iM], scattered to its regrouped positions."""
+        if len(blocks) != len(self._subsystem_index):
+            raise DimensionMismatch("need one %s per subsystem" % name)
+        out = np.zeros((self.n, self.n))
+        for i, (idx, X) in enumerate(zip(self._subsystem_index, blocks)):
+            if np.shape(X) != (idx.size, idx.size):
+                raise DimensionMismatch(
+                    "%s[%d] must be %dx%d for this dims table" % (name, i, idx.size, idx.size)
+                )
+            out[np.ix_(idx, idx)] = X
         return out
+
+    def subsystem_block(self, Xbar, i):
+        """Block i of T Xbar T^T: the rows and columns of subsystem i's
+        states, in the original order, of an n x n regrouped matrix."""
+        idx = self._subsystem_index[i]
+        return self._rows(Xbar, square=True)[np.ix_(idx, idx)]
 
     def _rows(self, X, square=False):
         X = np.asarray(X, dtype=float)
@@ -276,55 +296,24 @@ def build_permutation(dims):
     """Construct the regrouping permutation for a dims table.
 
     Every column group must be nonempty: each agent has to drive at least
-    one state block.
+    one state block.  perm visits the pair blocks agent-major and lists
+    each block's original positions.
     """
     dims = _as_dims(dims)
     M = dims.shape[0]
     if np.any(dims.sum(axis=0) < 1):
         raise DimensionMismatch("every column group needs at least one positive n_ij")
-    n = int(dims.sum())
-    row_off = _original_offsets(dims)
-    col_off = _regrouped_offsets(dims)
-    T = np.zeros((n, n))
-    for i in range(M):
-        for j in range(M):
-            nij = int(dims[i, j])
-            if nij == 0:
-                continue
-            r = row_off[i][j]
-            c = col_off[i][j]
-            T[r : r + nij, c : c + nij] = np.eye(nij)
-    bar_dims = tuple(int(v) for v in dims.sum(axis=0))
-    return PermutationMap(T=T, dims=dims, bar_dims=bar_dims)
+    start = _original_offsets(dims)
+    perm = np.concatenate(
+        [np.arange(start[i, j], start[i, j] + dims[i, j]) for j in range(M) for i in range(M)]
+    )
+    return PermutationMap(perm=perm, dims=dims)
 
 
 def _original_offsets(dims):
-    """offset[i][j] = start of x_ij in the subsystem-major ordering."""
-    M = dims.shape[0]
-    out = []
-    start = 0
-    for i in range(M):
-        row = []
-        off = start
-        for j in range(M):
-            row.append(off)
-            off += int(dims[i, j])
-        out.append(row)
-        start = off
-    return out
-
-
-def _regrouped_offsets(dims):
-    """offset[i][j] = start of x_ij in the input-major ordering."""
-    M = dims.shape[0]
-    col_start = np.concatenate(([0], np.cumsum(dims.sum(axis=0))))
-    out = [[0] * M for _ in range(M)]
-    for j in range(M):
-        off = int(col_start[j])
-        for i in range(M):
-            out[i][j] = off
-            off += int(dims[i, j])
-    return out
+    """offset[i, j] = start of x_ij in the subsystem-major ordering."""
+    flat = dims.ravel()
+    return (np.cumsum(flat) - flat).reshape(dims.shape)
 
 
 def build_composite(blocks):
@@ -340,7 +329,7 @@ def build_composite(blocks):
             nij = int(dims[i, j])
             if nij == 0:
                 continue
-            r = off[i][j]
+            r = off[i, j]
             A[r : r + nij, r : r + nij] = blocks.A[i][j]
             B[j][r : r + nij, :] = blocks.B[i][j]
     return CompositePlant(A=A, B=B, dims=dims, m=blocks.m)
@@ -383,31 +372,12 @@ def transform_cost(cost, pmap):
     coupling residual Qtilde = Qbar - Qa (same for the terminal weight
     when present).
     """
-    dims = pmap.dims
-    M = dims.shape[0]
-    if cost.M != M:
-        raise DimensionMismatch("cost has %d subsystems, dims table has %d" % (cost.M, M))
-    row_sizes = [int(dims[i, :].sum()) for i in range(M)]
-    for i in range(M):
-        if cost.Q[i].shape != (row_sizes[i], row_sizes[i]):
-            raise DimensionMismatch(
-                "Q[%d] must be %dx%d for this dims table" % (i, row_sizes[i], row_sizes[i])
-            )
-        if cost.P is not None and cost.P[i].shape != (row_sizes[i], row_sizes[i]):
-            raise DimensionMismatch(
-                "P[%d] must be %dx%d for this dims table" % (i, row_sizes[i], row_sizes[i])
-            )
-    Qglob = block_diag(*[cost.rho[i] * cost.Q[i] for i in range(M)])
-    Qbar = symmetrize(pmap.to_regrouped_matrix(Qglob))
-    Qa = _group_diagonal(Qbar, pmap)
+    Qbar, Qa, Qtilde = regroup_weight(cost.Q, cost.rho, pmap, "Q")
     if cost.P is not None:
-        Pglob = block_diag(*[cost.rho[i] * cost.P[i] for i in range(M)])
-        Pbar = symmetrize(pmap.to_regrouped_matrix(Pglob))
-        Pa = _group_diagonal(Pbar, pmap)
-        Ptilde = Pbar - Pa
+        Pbar, Pa, Ptilde = regroup_weight(cost.P, cost.rho, pmap, "P")
     else:
         Pbar = Pa = Ptilde = None
-    Rlocal = tuple(cost.rho[i] * cost.R[i] for i in range(M))
+    Rlocal = tuple(r * Ri for r, Ri in zip(cost.rho, cost.R))
     Rglobal = block_diag(*Rlocal)
     return TransformedCost(
         Qbar=Qbar,
@@ -415,18 +385,24 @@ def transform_cost(cost, pmap):
         Rglobal=Rglobal,
         Qa=Qa,
         Pa=Pa,
-        Qtilde=Qbar - Qa,
+        Qtilde=Qtilde,
         Ptilde=Ptilde,
         Rlocal=Rlocal,
         bar_dims=pmap.bar_dims,
     )
 
 
-def _group_diagonal(X, pmap):
-    out = np.zeros_like(X)
+def regroup_weight(weights, rho, pmap, name):
+    """(Xbar, Xa, Xtilde) of per-subsystem weights scaled by rho.
+
+    Xbar = sym(T^T diag(rho_i W_i) T), Xa its group-diagonal blocks and
+    Xtilde = Xbar - Xa the coupling residual.
+    """
+    Xbar = symmetrize(pmap.regroup_blocks([r * W for r, W in zip(rho, weights)], name))
+    Xa = np.zeros_like(Xbar)
     for s in pmap.group_slices():
-        out[s, s] = X[s, s]
-    return out
+        Xa[s, s] = Xbar[s, s]
+    return Xbar, Xa, Xbar - Xa
 
 
 def subsystem_partition(matrix, sizes, j, l):

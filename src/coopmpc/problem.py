@@ -158,22 +158,15 @@ class Problem:
             out[s] = self.tplant.Abar[i] @ xbar[s] + self.tplant.Btilde[i] @ ui
         return out
 
-    def simulate_group(self, i, x_i0, u_i):
-        """Group-i trajectory (N+1 rows) under its own input sequence."""
-        u_i = np.asarray(u_i, dtype=float)
-        N = u_i.shape[1]
-        traj = np.empty((N + 1, len(x_i0)))
-        traj[0] = np.asarray(x_i0, dtype=float)
-        for k in range(N):
-            traj[k + 1] = self.tplant.Abar[i] @ traj[k] + self.tplant.Btilde[i] @ u_i[:, k]
-        return traj
-
     def simulate(self, xbar0, seqs):
-        """Full-state trajectory under an InputSequenceSet."""
+        """Full-state trajectory (N+1 rows) under an InputSequenceSet."""
         xbar0 = np.asarray(xbar0, dtype=float)
         traj = np.empty((self.N + 1, self.n))
+        traj[0] = xbar0
         for i, (s, u_i) in enumerate(zip(self.group_slices(), seqs.u)):
-            traj[:, s] = self.simulate_group(i, xbar0[s], u_i)
+            u_i = np.asarray(u_i, dtype=float)
+            for k in range(self.N):
+                traj[k + 1, s] = self.tplant.Abar[i] @ traj[k, s] + self.tplant.Btilde[i] @ u_i[:, k]
         return traj
 
     def separable(self):

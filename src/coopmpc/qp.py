@@ -46,10 +46,11 @@ factor of the final free block.  The point it returns lies in the box
 and in every ball with no slack, and its multipliers are reported with
 it.
 
-The box (lo <= hi) is never empty, so only the balls can make the problem
-infeasible.  The residual of any u in the box gives a direction d, and the
-least value of d.(Tmap v + tvec) over the box, a supporting hyperplane of
-the reachable set, bounds ||Tmap v + tvec|| from below for every v in the
+`HorizonOperators` rejects a NaN bound and any u_lo > u_hi, so the box
+is never empty and only the balls can make the problem infeasible.  The
+residual of any u in the box gives a direction d, and the least value of
+d.(Tmap v + tvec) over the box, a supporting hyperplane of the reachable
+set, bounds ||Tmap v + tvec|| from below for every v in the
 box (`_margin_bound`).  The search stops as soon as that bound, along the
 residual of a point it computes, exceeds a ball's radius by more than
 BALL_FEAS_TOL.  Only a search that ends without a point is followed by the
@@ -148,7 +149,8 @@ class HorizonOperators:
     terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.
     H_chol is the lower Cholesky factor of H (Fortran order, for dpotrs).
     Every array is read-only.  Raises NotPD when H has no Cholesky factor,
-    which a positive definite R rules out.
+    which a positive definite R rules out, and DimensionMismatch when a
+    bound is NaN or u_lo > u_hi.
     """
 
     def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
@@ -169,6 +171,8 @@ class HorizonOperators:
             raise DimensionMismatch("weight shapes do not match the dynamics")
         u_lo = np.broadcast_to(np.asarray(u_lo, dtype=float).reshape(-1), (m,))
         u_hi = np.broadcast_to(np.asarray(u_hi, dtype=float).reshape(-1), (m,))
+        if not np.all(u_lo <= u_hi):
+            raise DimensionMismatch("input bounds must satisfy u_lo <= u_hi, with no NaN")
         self.n, self.m, self.N = n, m, N
 
         # Prediction operators over x(1..N).
@@ -277,17 +281,15 @@ class SolverOptions:
 class QpSolution:
     """Result of a solve.
 
-    A SOLVED point lies in the box and in every ball with no slack, so
-    primal_res is 0; dual_res is the largest Lagrangian gradient over the
-    inputs strictly inside the box.  Both are inf on an INFEASIBLE or
-    MAX_ITERS result, whose u_stack is the unconstrained minimizer clipped
-    onto the box.
+    A SOLVED point lies in the box and in every ball with no slack;
+    dual_res is the largest Lagrangian gradient over the inputs strictly
+    inside the box.  It is inf on an INFEASIBLE or MAX_ITERS result, whose
+    u_stack is the unconstrained minimizer clipped onto the box.  The
+    objective of any u_stack is `CondensedQp.objective(u_stack)`.
     """
 
     u_stack: np.ndarray
-    objective: float
     iterations: int
-    primal_res: float
     dual_res: float
     status: str
     # Least ball margin of `ball_margins`, set by every failed solve that
@@ -629,7 +631,7 @@ def solve_qp(qp, options=None):
 
     1. The unconstrained minimizer u = -H^-1 g from the cached factor.  If
        it satisfies the box and every ball exactly, it is returned as
-       SOLVED with zero residuals and zero multipliers.
+       SOLVED with zero dual residual and zero multipliers.
     2. The multiplier search, from that minimizer, one iteration per box
        QP, with a budget of `options.max_iters` - 2.  It returns SOLVED at
        a point that lies in the box and in every ball exactly, with each
@@ -662,9 +664,7 @@ def solve_qp(qp, options=None):
     ):
         return QpSolution(
             u,
-            qp.objective(u),
             iterations=1,
-            primal_res=0.0,
             dual_res=0.0,
             status=SOLVED,
             lam=qp.ops.ball_zero,
@@ -682,9 +682,7 @@ def solve_qp(qp, options=None):
             inner = (box_lo < found) & (found < box_hi)
             return QpSolution(
                 found,
-                qp.objective(found),
                 iterations=iterations,
-                primal_res=0.0,
                 dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
                 status=SOLVED,
                 lam=lam,
@@ -697,9 +695,7 @@ def solve_qp(qp, options=None):
     u = np.clip(u, box_lo, box_hi)
     return QpSolution(
         u,
-        qp.objective(u),
         iterations=iterations,
-        primal_res=np.inf,
         dual_res=np.inf,
         status=status,
         margin=margin,

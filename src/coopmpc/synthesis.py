@@ -7,7 +7,7 @@ candidate weights until the certificate holds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, block_diag, solve_discrete_are
@@ -22,6 +22,7 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import (
+    block_slices,
     check_pd,
     min_eigenvalue,
     require_square,
@@ -29,7 +30,7 @@ from .linalg import (
     spectral_radius,
     symmetrize,
 )
-from .plant import CostSpec, transform_cost
+from .plant import CostSpec, regroup_weight, transform_cost
 
 LYAP_RESIDUAL_TOL = 1e-8
 CERT_TOL = 1e-9
@@ -153,10 +154,8 @@ def check_prop1(Pbar, Phat, AK_global, tol=CERT_TOL):
 def check_prop2_blocks(Pbar, Phat, AK_list, bar_dims, tol=CERT_TOL):
     """Per-group decrease certificates on the diagonal blocks of Delta."""
     Delta = symmetrize(np.asarray(Pbar, dtype=float) - np.asarray(Phat, dtype=float))
-    starts = np.concatenate(([0], np.cumsum(bar_dims)))
     out = []
-    for i, AKi in enumerate(AK_list):
-        s = slice(int(starts[i]), int(starts[i + 1]))
+    for AKi, s in zip(AK_list, block_slices(bar_dims)):
         Dii = Delta[s, s]
         Si = symmetrize(Dii - AKi.T @ Dii @ AKi)
         margin = min_eigenvalue(Si)
@@ -260,18 +259,12 @@ def select_terminal_weights(cost, tplant, Phat, AK_global, alpha_max=ALPHA_MAX):
     """
     alphas = candidate_alphas(alpha_max)
     pmap = tplant.map
-    dims = pmap.dims
-    M = dims.shape[0]
-    row_sizes = [int(dims[i, :].sum()) for i in range(M)]
-    starts = np.concatenate(([0], np.cumsum(row_sizes)))
-    P_orig = symmetrize(pmap.to_original_matrix(Phat))
     base = []
-    for i in range(M):
-        s = slice(int(starts[i]), int(starts[i + 1]))
-        base.append(symmetrize(P_orig[s, s] / cost.rho[i]))
+    for i, rho in enumerate(cost.rho):
+        base.append(symmetrize(symmetrize(pmap.subsystem_block(Phat, i)) / rho))
         check_pd(base[i], "P[%d]" % i)
     AK = require_square(AK_global, "AK_global")
-    Pbar1 = symmetrize(pmap.to_regrouped_matrix(block_diag(*[r * Pi for r, Pi in zip(cost.rho, base)])))
+    Pbar1 = symmetrize(pmap.regroup_blocks([r * Pi for r, Pi in zip(cost.rho, base)]))
     S1 = Pbar1 - AK.T @ Pbar1 @ AK
     Shat = Phat - AK.T @ Phat @ AK
     for alpha in alphas:
@@ -326,7 +319,8 @@ def synthesize(tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=None):
     if cost.P is None:
         P_list, alpha, _ = select_terminal_weights(cost, tplant, Phat, AKg)
         final = CostSpec(Q=cost.Q, R=cost.R, rho=cost.rho, N=cost.N, P=P_list)
-        tcost = transform_cost(final, pmap)
+        Pbar, Pa, Ptilde = regroup_weight(final.P, final.rho, pmap, "P")
+        tcost = replace(tc0, Pbar=Pbar, Pa=Pa, Ptilde=Ptilde)
     else:
         final = cost
         alpha = None

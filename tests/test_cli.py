@@ -290,6 +290,38 @@ class TestFailureModes:
         assert "configuration error: sim.x0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["check"], ["simulate", "--steps", "3"]])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("input_box", 1), -4.0),
+            (("input_box", 1), float("nan")),
+            (("input_box", 1), "4"),
+            (("terminal_radius", 0), -1.0),
+            (("terminal_radius", 0), float("nan")),
+            (("terminal_radius", 0), "1"),
+            (("horizon",), True),
+            (("cost", "R"), 1.0),
+            (("cost", "rho"), 1.0),
+            (("cost", "rho"), [True, True, True]),
+            (("cost", "rho", 2), float("inf")),
+            (("cost", "Q", 0, 0, 0), "10"),
+            (("lqr", "Q"), 1.0),
+            (("lqr", "K"), 5),
+        ],
+    )
+    def test_malformed_config_is_a_configuration_error(self, tmp_path, capsys, command, path, value):
+        doc = flagship_dict()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, doc)
+        assert run([command[0], "--config", cfg, "--out-dir", str(out)] + command[1:]) == 2
+        assert "configuration error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
             run(["--version"])

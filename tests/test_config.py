@@ -205,6 +205,54 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown strategy"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            (None, "input_box", [-1.0], r"input_box\[0\]"),
+            (None, "input_box", [float("nan")], r"input_box\[0\]"),
+            (None, "input_box", ["a"], r"input_box\[0\]"),
+            (None, "input_box", [[1.0, -1.0]], r"input_box\[0\]"),
+            (None, "input_box", [[]], r"input_box\[0\]"),
+            (None, "input_box", 2.0, "input_box: need one entry per agent"),
+            (None, "terminal_radius", [-1.0], r"terminal_radius\[0\]"),
+            (None, "terminal_radius", [0.0], r"terminal_radius\[0\]"),
+            (None, "terminal_radius", [float("nan")], r"terminal_radius\[0\]"),
+            (None, "terminal_radius", ["a"], r"terminal_radius\[0\]"),
+            (None, "horizon", True, "horizon: must be an integer >= 1"),
+            (None, "horizon", 2.5, "horizon: must be an integer >= 1"),
+            ("cost", "R", 1.0, "cost.R: need one entry per agent"),
+            ("cost", "rho", 1.0, "cost.rho: need one entry per agent"),
+            ("cost", "rho", [float("inf")], r"cost.rho\[0\]: must be positive"),
+            ("cost", "rho", [True], r"cost.rho\[0\]: must be positive"),
+            ("cost", "Q", [["a"]], r"cost.Q\[0\]"),
+            ("cost", "Q", 2.0, "cost.Q: need one entry per agent"),
+            ("lqr", "Q", 1.0, "lqr.Q: need one entry per agent"),
+            ("lqr", "R", 50.0, "lqr.R: need one entry per agent"),
+            ("lqr", "K", 5, "lqr.K: need one entry per agent"),
+            ("lqr", "K", [["a"]], r"lqr.K\[0\]"),
+        ],
+    )
+    def test_malformed_entry(self, section, key, value, match):
+        doc = minimal_single_agent()
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(doc)
+
+    def test_whole_float_horizon_and_nested_bounds_accepted(self):
+        doc = minimal_single_agent()
+        doc["horizon"] = 3.0
+        doc["input_box"] = [[0.0]]
+        doc["lqr"]["K"] = [None]
+        cfg = config_from_dict(doc)
+        assert cfg.horizon == 3 and isinstance(cfg.horizon, int)
+        assert build_problem(cfg).u_max[0].tolist() == [0.0]
+
+    def test_input_box_length_must_match_the_inputs(self):
+        doc = minimal_single_agent()
+        doc["input_box"] = [[1.0, 2.0]]
+        with pytest.raises(ConfigError, match=r"input_box\[0\]: expected one bound or one per input \(1\)"):
+            build_problem(config_from_dict(doc))
+
     def test_terminal_weight_count(self):
         doc = flagship_dict()
         doc["cost"]["P"] = [[[1.0]]]

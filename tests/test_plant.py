@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from coopmpc import (
     CostSpec,
@@ -16,6 +17,7 @@ from coopmpc import (
     transform_cost,
     transform_plant,
 )
+from coopmpc.linalg import block_slices
 from coopmpc.plant import CompositePlant
 
 from oracles import dense_transform_cost
@@ -72,7 +74,7 @@ class TestPermutation:
     def test_index_maps_equal_dense_products(self, rng_factory):
         # T is 0/1, so indexing by the permutation gives T's products exactly
         rng = rng_factory(13)
-        zero_blocks = 0
+        zero_blocks = empty_rows = 0
         for _ in range(40):
             dims = random_dims(rng, M_max=4)
             zero_blocks += int(np.sum(dims == 0))
@@ -87,8 +89,15 @@ class TestPermutation:
             assert np.array_equal(pmap.to_regrouped(X), T.T @ X)
             assert np.array_equal(pmap.to_original(X), T @ X)
             assert np.array_equal(pmap.to_regrouped_matrix(S), T.T @ S @ T)
-            assert np.array_equal(pmap.to_original_matrix(S), T @ S @ T.T)
-        assert zero_blocks > 0
+            # per-subsystem weight blocks, empty for a row of zeros
+            sizes = dims.sum(axis=1)
+            empty_rows += int(np.sum(sizes == 0))
+            blocks = [rng.normal(size=(k, k)) for k in sizes]
+            assert np.array_equal(pmap.regroup_blocks(blocks), T.T @ block_diag(*blocks) @ T)
+            original = T @ S @ T.T
+            for i, s in enumerate(block_slices(sizes)):
+                assert np.array_equal(pmap.subsystem_block(S, i), original[s, s])
+        assert zero_blocks > 0 and empty_rows > 0
 
     def test_index_maps_reject_wrong_length(self):
         pmap = build_permutation([[1, 1], [1, 1]])
@@ -100,7 +109,11 @@ class TestPermutation:
         with pytest.raises(DimensionMismatch):
             pmap.to_regrouped_matrix(np.zeros((4, 3)))
         with pytest.raises(DimensionMismatch):
-            pmap.to_original_matrix(np.zeros((3, 3)))
+            pmap.subsystem_block(np.zeros((3, 3)), 0)
+        with pytest.raises(DimensionMismatch, match=r"Q\[1\] must be 2x2"):
+            pmap.regroup_blocks([np.eye(2), np.eye(3)], "Q")
+        with pytest.raises(DimensionMismatch):
+            pmap.regroup_blocks([np.eye(2)])
 
     def test_group_slices_built_once(self):
         pmap = build_permutation([[1, 2], [0, 1]])

@@ -11,6 +11,7 @@ from coopmpc import (
     SelectionFailed,
     SubsystemBlocks,
     build_composite,
+    build_problem,
     build_permutation,
     check_corollary_dd,
     check_prop1,
@@ -19,9 +20,11 @@ from coopmpc import (
     select_terminal_weights,
     solve_discrete_lyapunov,
     synthesize,
+    transform_cost,
     transform_plant,
     verify_ball_terminal,
 )
+from coopmpc import synthesis
 from coopmpc.synthesis import candidate_alphas
 
 from oracles import (
@@ -322,6 +325,21 @@ class TestSynthesize:
                 + ing.K[i].T @ tc.Rlocal[i] @ ing.K[i]
             )
             assert np.max(np.abs(lhs - ing.Phat[s, s])) <= 1e-8
+
+    def test_automatic_selection_transforms_the_cost_once(self, flagship_cfg, flagship, monkeypatch):
+        # after selection only the terminal weight is regrouped; the stage
+        # weights come from the one transform made before it
+        calls = []
+
+        def counted(cost, pmap):
+            calls.append(cost.P)
+            return transform_cost(cost, pmap)
+
+        monkeypatch.setattr(synthesis, "transform_cost", counted)
+        problem = build_problem(flagship_cfg)
+        assert calls == [None]
+        for name in ("Qbar", "Pbar", "Qa", "Pa", "Qtilde", "Ptilde", "Rglobal"):
+            assert same_bytes(getattr(problem.tcost, name), getattr(flagship.tcost, name)), name
 
     def test_flagship_terminal_decrease_per_block(self, flagship):
         # selected weights make the terminal cost a local Lyapunov
