@@ -44,6 +44,7 @@ from .synthesis import (
     check_prop1,
     check_prop2_blocks,
     lqr_gain,
+    lqr_gains,
     select_terminal_weights,
     solve_discrete_lyapunov,
     synthesize,

@@ -10,11 +10,12 @@ module, so decimals are read exactly as written regardless of locale.
 
 import json
 from dataclasses import dataclass, field, asdict
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
-from .errors import CoopMpcError, ConfigError
+from .errors import CoopMpcError, ConfigError, NotPD
+from .linalg import check_pd
 from .plant import CostSpec, SubsystemBlocks, build_composite, build_permutation, transform_plant
 from .problem import Problem
 from .qp import SolverOptions
@@ -132,11 +133,28 @@ def _is_whole(value):
     return _is_number(value) and (isinstance(value, int) or value.is_integer())
 
 
+def _shape(value):
+    """Shape of a finite JSON number or a rectangular nested list of them, else None."""
+    if not isinstance(value, list):
+        return () if _is_number(value) else None
+    if all(map(_is_number, value)):
+        return (len(value),)
+    shapes = set(map(_shape, value))
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(value),) + (shapes.pop() if shapes else ())
+
+
 def _is_numeric(value):
-    """A finite JSON number or a list, possibly nested, of them."""
-    if isinstance(value, list):
-        return all(_is_numeric(v) for v in value)
-    return _is_number(value)
+    """A finite JSON number or a rectangular list, possibly nested, of them."""
+    return _shape(value) is not None
+
+
+def _is_block_table(value):
+    """A table of numeric blocks: a list of lists whose entries pass _is_numeric."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_is_numeric(block) for block in row) for row in value
+    )
 
 
 def _integer(section, key, default, where):
@@ -171,6 +189,10 @@ def config_from_dict(doc):
         isinstance(dims, list) and dims and all(isinstance(r, list) and len(r) == len(dims) for r in dims),
         "subsystems.dims: expected a square table of block sizes",
     )
+    _expect(
+        all(_is_whole(v) and v >= 0 for row in dims for v in row),
+        "subsystems.dims: block sizes must be integers >= 0",
+    )
     M = len(dims)
     A = _require(sub_doc, "A", "subsystems")
     B = _require(sub_doc, "B", "subsystems")
@@ -179,6 +201,13 @@ def config_from_dict(doc):
             isinstance(table, list) and len(table) == M and all(isinstance(r, list) and len(r) == M for r in table),
             "subsystems.%s: expected an %dx%d table of blocks" % (name, M, M),
         )
+        for i, row in enumerate(table):
+            for j, block in enumerate(row):
+                shape = _shape(block)
+                n = int(dims[i][j]) if name == "A" else 0
+                if shape is None or (n and prod(shape) != n * n):
+                    what = "a matrix of finite numbers" if shape is None else "a %dx%d matrix" % (n, n)
+                    raise ConfigError("subsystems.%s[%d][%d]: expected %s" % (name, i, j, what))
     sub = SubsystemsConfig(dims=dims, A=A, B=B)
 
     cost_doc = _require(doc, "cost", "top level")
@@ -190,9 +219,11 @@ def config_from_dict(doc):
         P=cost_doc.get("P", "auto"),
     )
     _expect(cost.Q is not None or cost.Qblocks is not None, "cost: need Q or Qblocks")
-    for key in ("Q", "Qblocks", "R"):
+    for key in ("Q", "R"):
         if getattr(cost, key) is not None:
             _per_agent(getattr(cost, key), M, "cost." + key)
+    if cost.Qblocks is not None:
+        _per_agent(cost.Qblocks, M, "cost.Qblocks", _is_block_table, "a table of matrices of finite numbers")
     _per_agent(cost.rho, M, "cost.rho", _is_positive, "positive and finite")
     if cost.P != "auto":
         _expect(isinstance(cost.P, list) and len(cost.P) == M, "cost.P: 'auto' or one matrix per agent")
@@ -294,6 +325,17 @@ def _weight_matrix(value, size, where):
     return arr
 
 
+def _design_weight(value, size, where):
+    """An LQR design weight: a symmetric positive definite matrix, or a scalar > 0."""
+    W = _weight_matrix(value, size, where)
+    _expect(np.array_equal(W, W.T), "%s: must be symmetric" % where)
+    try:
+        check_pd(W, where)
+    except NotPD as exc:
+        raise ConfigError("%s: must be positive definite" % where) from exc
+    return W
+
+
 def _assemble_Q(cfg, row_sizes):
     if cfg.cost.Q is not None:
         return [
@@ -311,7 +353,16 @@ def _assemble_Q(cfg, row_sizes):
         rows = []
         for j in range(M):
             _expect(len(blocks_row[j]) == M, "cost.Qblocks[%d][%d]: expected %d blocks" % (i, j, M))
-            rows.append([np.asarray(blocks_row[j][l], dtype=float).reshape(dims[i, j], dims[i, l]) for l in range(M)])
+            row = []
+            for l in range(M):
+                block = np.asarray(blocks_row[j][l], dtype=float)
+                rows_jl, cols_jl = dims[i, j], dims[i, l]
+                _expect(
+                    block.size == rows_jl * cols_jl,
+                    "cost.Qblocks[%d][%d][%d]: expected a %dx%d block" % (i, j, l, rows_jl, cols_jl),
+                )
+                row.append(block.reshape(rows_jl, cols_jl))
+            rows.append(row)
         out.append(np.block(rows))
     return out
 
@@ -351,8 +402,8 @@ def build_problem(cfg):
     else:
         P = [_weight_matrix(Pi, row_sizes[i], "cost.P[%d]" % i) for i, Pi in enumerate(cfg.cost.P)]
     cost = CostSpec(Q=Q, R=R, rho=cfg.cost.rho, N=cfg.horizon, P=P)
-    lqr_Q = [_weight_matrix(v, bar_sizes[i], "lqr.Q[%d]" % i) for i, v in enumerate(cfg.lqr.Q)]
-    lqr_R = [_weight_matrix(v, blocks.m[i], "lqr.R[%d]" % i) for i, v in enumerate(cfg.lqr.R)]
+    lqr_Q = [_design_weight(v, bar_sizes[i], "lqr.Q[%d]" % i) for i, v in enumerate(cfg.lqr.Q)]
+    lqr_R = [_design_weight(v, blocks.m[i], "lqr.R[%d]" % i) for i, v in enumerate(cfg.lqr.R)]
     gains = None
     if cfg.lqr.K is not None:
         gains = [

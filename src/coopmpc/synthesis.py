@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, block_diag, solve_discrete_are
+from scipy.linalg import LinAlgError, block_diag
 from scipy.linalg import solve_discrete_lyapunov as scipy_lyapunov
 
 from .errors import (
@@ -32,7 +32,12 @@ from .linalg import (
 )
 from .plant import CostSpec, regroup_weight, transform_cost
 
-LYAP_RESIDUAL_TOL = 1e-8
+# Residual bound of the Lyapunov and Riccati solutions, relative to 1 + max|P|.
+RESIDUAL_TOL = 1e-8
+# Doubling steps of the Riccati solve: stop once H moves by at most
+# RICCATI_STEP_TOL relative; no convergence in RICCATI_MAX_STEPS diverges.
+RICCATI_STEP_TOL = 1e-14
+RICCATI_MAX_STEPS = 64
 CERT_TOL = 1e-9
 # Scaling sweep for the terminal weight selection: 1, 1.5, 2, 3, 5, 10, ...
 ALPHA_MANTISSAS = (1.0, 1.5, 2.0, 3.0, 5.0)
@@ -58,7 +63,7 @@ def solve_discrete_lyapunov(F, W):
     except LinAlgError as exc:
         raise SingularSystem("Lyapunov equation is singular") from exc
     resid = np.max(np.abs(F.T @ P @ F + W - P))
-    bound = LYAP_RESIDUAL_TOL * (1.0 + np.max(np.abs(P)))
+    bound = RESIDUAL_TOL * (1.0 + np.max(np.abs(P)))
     if resid > bound:
         raise SingularSystem(
             "Lyapunov residual %.3e exceeds %.3e; system too ill conditioned" % (resid, bound)
@@ -66,13 +71,8 @@ def solve_discrete_lyapunov(F, W):
     return P
 
 
-def lqr_gain(A, B, Q, R):
-    """Infinite-horizon LQR gain from the discrete algebraic Riccati equation.
-
-    Returns (K, P) with u = K x and K = -(R + B^T P B)^-1 B^T P A, where P
-    is the stabilizing solution from scipy.linalg.solve_discrete_are.  A
-    pair with no stabilizing solution raises RiccatiDiverged.
-    """
+def _lqr_system(A, B, Q, R):
+    """(A, B, Q, R) as float arrays of matching shapes, or DimensionMismatch."""
     A = require_square(A, "A")
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -83,15 +83,113 @@ def lqr_gain(A, B, Q, R):
     R = symmetrize(np.atleast_2d(R))
     if Q.shape != A.shape or R.shape != (B.shape[1], B.shape[1]):
         raise DimensionMismatch("weight shapes do not match the system")
+    return A, B, Q, R
+
+
+def lqr_gains(systems):
+    """Infinite-horizon LQR gains of several systems from one batched Riccati solve.
+
+    `systems` is a sequence of (A, B, Q, R).  Returns one (K, P) per
+    system, with u = K x and K = -(R + B^T P B)^-1 B^T P A, where P is the
+    stabilizing solution of the discrete algebraic Riccati equation.
+
+    All equations are solved at once by the structure-preserving doubling
+    algorithm, which converges to the stabilizing solution for stabilizable
+    and detectable pairs (Lin & Xu, SIAM J. Matrix Anal. Appl. 28, 2006).
+    From A_0 = A, G_0 = B R^-1 B^T and H_0 = Q, with
+    W_k = I + G_k H_k,
+
+        A_k+1 = A_k W_k^-1 A_k
+        G_k+1 = G_k + A_k W_k^-1 G_k A_k^T
+        H_k+1 = H_k + A_k^T H_k W_k^-1 A_k
+
+    and H_k converges quadratically to P.  The stacks are padded to the
+    largest state and input counts: a padded state has A = 0, B = 0 and
+    Q = I, a padded input R = I, so padding decouples exactly and each
+    doubling step is a few batched solves and products whatever the number
+    of systems.  The iteration stops once no system's H moves by more than
+    RICCATI_STEP_TOL relative.
+
+    Non-finite iterates, a singular solve or no convergence within
+    RICCATI_MAX_STEPS steps raise RiccatiDiverged, as does a Riccati
+    residual above RESIDUAL_TOL * (1 + max-norm of P) for any system; a
+    closed loop A + B K with spectral radius not below one raises
+    NotStabilized.  Q and R should be positive definite: from H_0 = 0 the
+    iteration stays at P = 0.
+    """
+    systems = [_lqr_system(*system) for system in systems]
+    if not systems:
+        return []
+    L = len(systems)
+    n = max(A.shape[0] for A, _, _, _ in systems)
+    m = max(B.shape[1] for _, B, _, _ in systems)
+    A = np.zeros((L, n, n))
+    B = np.zeros((L, n, m))
+    Q = np.tile(np.eye(n), (L, 1, 1))
+    R = np.tile(np.eye(m), (L, 1, 1))
+    for k, (Ak, Bk, Qk, Rk) in enumerate(systems):
+        nk, mk = Bk.shape
+        A[k, :nk, :nk] = Ak
+        B[k, :nk, :mk] = Bk
+        Q[k, :nk, :nk] = Qk
+        R[k, :mk, :mk] = Rk
+    Bt = B.transpose(0, 2, 1)
+    converged = np.zeros(L, dtype=bool)
     try:
-        P = symmetrize(solve_discrete_are(A, B, Q, R))
-    except (LinAlgError, ValueError) as exc:
-        raise RiccatiDiverged("no stabilizing Riccati solution: %s" % exc) from exc
-    BtP = B.T @ P
+        with np.errstate(over="raise", invalid="raise"):
+            Ak, G, H = A, B @ np.linalg.solve(R, Bt), Q
+            for _ in range(RICCATI_MAX_STEPS):
+                X = np.linalg.solve(np.eye(n) + G @ H, np.concatenate((Ak, G), axis=2))
+                WA, WG = X[..., :n], X[..., n:]
+                AkT = Ak.transpose(0, 2, 1)
+                dH = AkT @ H @ WA
+                G = G + Ak @ WG @ AkT
+                H = H + dH
+                Ak = Ak @ WA
+                G = 0.5 * (G + G.transpose(0, 2, 1))
+                H = 0.5 * (H + H.transpose(0, 2, 1))
+                converged = np.max(np.abs(dH), axis=(1, 2)) <= RICCATI_STEP_TOL * np.max(np.abs(H), axis=(1, 2))
+                if converged.all():
+                    break
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise RiccatiDiverged(
+            "Riccati doubling broke down (%s) before systems %s converged" % (exc, _unset(converged))
+        ) from exc
+    if not converged.all():
+        raise RiccatiDiverged(
+            "Riccati doubling: systems %s did not converge in %d steps" % (_unset(converged), RICCATI_MAX_STEPS)
+        )
+    P = H
+    BtP = Bt @ P
     K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-    if spectral_radius(A + B @ K) >= 1.0:
-        raise NotStabilized("closed loop spectral radius %.6f" % spectral_radius(A + B @ K))
-    return K, P
+    AK = A + B @ K
+    resid = np.max(np.abs(A.transpose(0, 2, 1) @ P @ AK + Q - P), axis=(1, 2))
+    bound = RESIDUAL_TOL * (1.0 + np.max(np.abs(P), axis=(1, 2)))
+    radius = np.max(np.abs(np.linalg.eigvals(AK)), axis=1)
+    out = []
+    for k, (_, Bk, _, _) in enumerate(systems):
+        if not resid[k] <= bound[k]:
+            raise RiccatiDiverged(
+                "system %d: Riccati residual %.3e exceeds %.3e; no stabilizing solution" % (k, resid[k], bound[k])
+            )
+        if not radius[k] < 1.0:
+            raise NotStabilized("system %d: closed loop spectral radius %.6f" % (k, radius[k]))
+        nk, mk = Bk.shape
+        out.append((K[k, :mk, :nk].copy(), P[k, :nk, :nk].copy()))
+    return out
+
+
+def _unset(flags):
+    return [int(k) for k in np.flatnonzero(~flags)]
+
+
+def lqr_gain(A, B, Q, R):
+    """Infinite-horizon LQR gain of one system: `lqr_gains` on [(A, B, Q, R)].
+
+    Returns (K, P) with u = K x and K = -(R + B^T P B)^-1 B^T P A, where P
+    is the stabilizing solution of the discrete algebraic Riccati equation.
+    """
+    return lqr_gains([(A, B, Q, R)])[0]
 
 
 @dataclass
@@ -291,7 +389,8 @@ def synthesize(tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=None):
     u_max : sequence of arrays
         Symmetric per-channel input bound of each agent.
     gains : sequence of arrays, optional
-        Explicit terminal gains; skips the Riccati design when given.
+        Explicit terminal gains; None entries (or no sequence) are designed
+        together in one `lqr_gains` call.
 
     Returns
     -------
@@ -301,15 +400,12 @@ def synthesize(tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=None):
     M = tplant.M
     if len(radii) != M or len(u_max) != M:
         raise DimensionMismatch("need one radius and one input bound per agent")
-    K = []
-    AK = []
-    for i in range(M):
-        if gains is not None and gains[i] is not None:
-            Ki = np.atleast_2d(np.asarray(gains[i], dtype=float))
-        else:
-            Ki, _ = lqr_gain(tplant.Abar[i], tplant.Btilde[i], lqr_Q[i], lqr_R[i])
-        K.append(Ki)
-        AK.append(tplant.Abar[i] + tplant.Btilde[i] @ Ki)
+    K = list(gains) if gains is not None else [None] * M
+    design = [i for i in range(M) if K[i] is None]
+    for i, (Ki, _) in zip(design, lqr_gains([(tplant.Abar[i], tplant.Btilde[i], lqr_Q[i], lqr_R[i]) for i in design])):
+        K[i] = Ki
+    K = [np.atleast_2d(np.asarray(Ki, dtype=float)) for Ki in K]
+    AK = [Abar + Bt @ Ki for Abar, Bt, Ki in zip(tplant.Abar, tplant.Btilde, K)]
     AKg = block_diag(*AK)
     Kg = block_diag(*K)
     tc0 = transform_cost(cost, pmap)

@@ -118,6 +118,32 @@ def random_certified_problem(rng, N=None, solver=None):
     )
 
 
+def ring_network_description(M, seed=8):
+    """Description dict of an M-agent ring, the size class of the network8 benchmark.
+
+    Subsystem i owns a 3-state block driven by agent i and a 1-state block
+    driven by agent i + 1 (mod M), so every regrouped group spans two
+    subsystems.  Contractive blocks keep the automatic terminal weights
+    certifiable.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dims = np.zeros((M, M), dtype=int)
+    A = [[[] for _ in range(M)] for _ in range(M)]
+    B = [[[] for _ in range(M)] for _ in range(M)]
+    for i in range(M):
+        for j, n, norm in ((i, 3, 0.9), ((i + 1) % M, 1, 0.3)):
+            dims[i, j] = n
+            A[i][j] = scaled_block(rng, n, norm).tolist()
+            B[i][j] = rng.uniform(-1.0, 1.0, size=(n, 1)).tolist()
+    return {
+        "subsystems": {"dims": dims.tolist(), "A": A, "B": B},
+        "cost": {"Q": [random_spd(rng, 4).tolist() for _ in range(M)], "R": [1.0] * M, "rho": [1.0] * M},
+        "horizon": 8,
+        "input_box": [2.0] * M,
+        "lqr": {"Q": [1.0] * M, "R": [50.0] * M},
+    }
+
+
 def single_agent_problem(a=0.5, b=1.0, q=1.0, r=1.0, N=4):
     """Minimal one-agent instance; the regrouping is the identity."""
     blocks = SubsystemBlocks(

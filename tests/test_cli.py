@@ -308,6 +308,14 @@ class TestFailureModes:
             (("cost", "Q", 0, 0, 0), "10"),
             (("lqr", "Q"), 1.0),
             (("lqr", "K"), 5),
+            (("lqr", "Q", 0), -1.0),
+            (("lqr", "Q", 0), 0.0),
+            (("lqr", "R", 0), 0.0),
+            (("lqr", "R", 0), -1.0),
+            (("subsystems", "A", 0, 0, 0, 0), "x"),
+            (("cost", "Q", 0, 0), [1.0, 2.0]),
+            (("subsystems", "dims", 0, 0), 1.5),
+            (("subsystems", "dims", 0, 0), "2"),
         ],
     )
     def test_malformed_config_is_a_configuration_error(self, tmp_path, capsys, command, path, value):

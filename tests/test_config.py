@@ -230,6 +230,18 @@ class TestParsing:
             ("lqr", "R", 50.0, "lqr.R: need one entry per agent"),
             ("lqr", "K", 5, "lqr.K: need one entry per agent"),
             ("lqr", "K", [["a"]], r"lqr.K\[0\]"),
+            ("subsystems", "dims", [[1.5]], "subsystems.dims: block sizes must be integers >= 0"),
+            ("subsystems", "dims", [["2"]], "subsystems.dims: block sizes must be integers >= 0"),
+            ("subsystems", "dims", [[-2]], "subsystems.dims: block sizes must be integers >= 0"),
+            ("subsystems", "dims", [[True]], "subsystems.dims: block sizes must be integers >= 0"),
+            ("subsystems", "A", [[[["a", 0.1], [0.0, 0.4]]]], r"subsystems.A\[0\]\[0\]: expected a matrix of finite numbers"),
+            ("subsystems", "A", [[[[0.5, 0.1], [0.0]]]], r"subsystems.A\[0\]\[0\]: expected a matrix of finite numbers"),
+            ("subsystems", "A", [[[[0.5, 0.1]]]], r"subsystems.A\[0\]\[0\]: expected a 2x2 matrix"),
+            ("subsystems", "B", [[[[1.0], [None]]]], r"subsystems.B\[0\]\[0\]: expected a matrix of finite numbers"),
+            ("cost", "Q", [[[2.0, 0.0], [0.0]]], r"cost.Q\[0\]"),
+            ("cost", "R", [[[1.0], []]], r"cost.R\[0\]"),
+            ("cost", "Qblocks", [[[[[2.0, "a"]]]]], r"cost.Qblocks\[0\]"),
+            ("lqr", "Q", [[[1.0, 0.0], 1.0]], r"lqr.Q\[0\]"),
         ],
     )
     def test_malformed_entry(self, section, key, value, match):
@@ -237,6 +249,13 @@ class TestParsing:
         (doc if section is None else doc[section])[key] = value
         with pytest.raises(ConfigError, match=match):
             config_from_dict(doc)
+
+    def test_whole_float_dims_and_flat_blocks_accepted(self):
+        doc = minimal_single_agent()
+        doc["subsystems"]["dims"] = [[2.0]]
+        doc["subsystems"]["A"] = [[[0.5, 0.1, 0.0, 0.4]]]
+        prob = build_problem(config_from_dict(doc))
+        assert np.array_equal(prob.tplant.Abar[0], [[0.5, 0.1], [0.0, 0.4]])
 
     def test_whole_float_horizon_and_nested_bounds_accepted(self):
         doc = minimal_single_agent()
@@ -315,6 +334,12 @@ class TestBuild:
         for a, b in zip(full.ingredients.K, alt.ingredients.K):
             assert np.array_equal(a, b)
 
+    def test_block_of_the_wrong_size_rejected(self):
+        doc = minimal_single_agent()
+        doc["cost"] = {"Qblocks": [[[[2.0, 0.0, 1.0]]]], "R": [1.0], "rho": [1.0]}
+        with pytest.raises(ConfigError, match=r"cost.Qblocks\[0\]\[0\]\[0\]: expected a 2x2 block"):
+            build_problem(config_from_dict(doc))
+
     def test_undriven_column_rejected(self):
         doc = minimal_single_agent()
         doc["subsystems"]["dims"] = [[0, 1], [0, 2]]
@@ -326,6 +351,33 @@ class TestBuild:
         doc["input_box"] = [2.0, 2.0]
         doc["lqr"] = {"Q": [1.0, 1.0], "R": [50.0, 50.0]}
         with pytest.raises(ConfigError, match="column 0 has no state block"):
+            build_problem(config_from_dict(doc))
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("Q", -1.0, "must be positive definite"),
+            ("Q", 0.0, "must be positive definite"),
+            ("Q", [[1.0, 1.0], [1.0, 1.0]], "must be positive definite"),
+            ("Q", [[1.0, 0.5], [0.0, 1.0]], "must be symmetric"),
+            ("R", 0.0, "must be positive definite"),
+            ("R", -1.0, "must be positive definite"),
+        ],
+    )
+    def test_design_weights_must_be_positive_definite(self, key, value, match):
+        # Q = 0 would leave the Riccati doubling at P = 0 and K = 0
+        doc = minimal_single_agent()
+        doc["lqr"][key] = [value]
+        with pytest.raises(ConfigError, match=r"lqr.%s\[0\]: %s" % (key, match)):
+            build_problem(config_from_dict(doc))
+
+    def test_pinned_gain_skips_the_design_but_not_its_weights(self):
+        doc = minimal_single_agent()
+        doc["lqr"]["K"] = [[[-0.2, -0.1]]]
+        prob = build_problem(config_from_dict(doc))
+        assert np.array_equal(prob.ingredients.K[0], [[-0.2, -0.1]])
+        doc["lqr"]["Q"] = [0.0]
+        with pytest.raises(ConfigError, match=r"lqr.Q\[0\]"):
             build_problem(config_from_dict(doc))
 
     def test_pinned_zero_gains_rejected(self):

@@ -22,6 +22,7 @@ from coopmpc import (
     monte_carlo,
     replay_states,
     run_closed_loop,
+    shift_sequences,
     solve_centralized,
     solve_noiter_all,
     solve_strategy,
@@ -33,7 +34,7 @@ from coopmpc import (
 from coopmpc.qp import INFEASIBLE, MAX_ITERS
 
 from oracles import horizon_cost, stage_sum_cc
-from support import X0_EXP1, assemble, noiter_verdicts, random_certified_problem
+from support import X0_EXP1, X0_EXP2, assemble, noiter_verdicts, random_certified_problem
 
 FLAGSHIP_HEADER = (
     "t,"
@@ -383,3 +384,42 @@ class TestDecay:
         trace = run_closed_loop(flagship, xbar0, StrategyConfig(kind="noiter"), steps=60)
         norms = trace.norms()
         assert norms.min() <= 1e-3 * norms[0]
+
+
+class TestStabilityClaim:
+    """The paper's closed-loop stability claim along flagship loops.
+
+    With V(t) the global cost GC of the plan applied at t and
+    l(x, u) = x'Qbar x + u'R u its first stage, the shifted plan (tail
+    K x(N)) is feasible at x(t+1) and costs at most V(t) - l, and both the
+    centralized optimum and the cooperative iteration started from it cost
+    no more than that.
+    """
+
+    @pytest.mark.parametrize("x0", [X0_EXP1, X0_EXP2], ids=["x0_exp1", "x0_exp2"])
+    @pytest.mark.parametrize(
+        "strategy", [StrategyConfig(kind="centralized"), StrategyConfig(kind="coop", iters=5)], ids=lambda s: s.label()
+    )
+    def test_value_decrease_and_shifted_plan_feasible(self, flagship, x0, strategy):
+        problem = flagship
+        tc = problem.tcost
+        balls = list(zip(problem.group_slices(), problem.ingredients.ball_radius))
+        u_max = np.concatenate(problem.u_max)
+        xbar = problem.pmap.to_regrouped(x0)
+        previous = None
+        bound = None
+        for t in range(40):
+            seqs, _ = solve_strategy(problem, xbar, strategy, previous=previous)
+            V = global_cost(problem, xbar, seqs)
+            if bound is not None:
+                assert V <= bound, (t, V, bound)
+            u = seqs.stage[0]
+            bound = V - (xbar @ tc.Qbar @ xbar + u @ tc.Rglobal @ u) + 1e-9 * (1.0 + abs(V))
+            previous = shift_sequences(problem, xbar, seqs)
+            xbar = problem.step(xbar, [ui[:, 0] for ui in seqs.u])
+            assert np.all(np.abs(previous.stage) <= u_max), t
+            x_end = xbar
+            for k in range(problem.N):
+                x_end = problem.step(x_end, [ui[:, k] for ui in previous.u])
+            for s, radius in balls:
+                assert np.linalg.norm(x_end[s]) <= radius, (t, s)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import block_diag, solve_discrete_are, solve_discrete_lyapunov as sp_lyap
 
 from coopmpc import (
     CostSpec,
     NotSchur,
+    NotStabilized,
     RiccatiDiverged,
     SelectionFailed,
     SubsystemBlocks,
@@ -16,7 +18,9 @@ from coopmpc import (
     check_corollary_dd,
     check_prop1,
     check_prop2_blocks,
+    config_from_dict,
     lqr_gain,
+    lqr_gains,
     select_terminal_weights,
     solve_discrete_lyapunov,
     synthesize,
@@ -34,7 +38,7 @@ from oracles import (
     prop1_check,
     sweep_terminal_weights,
 )
-from support import assemble, random_certified_problem, random_spd, scaled_block
+from support import assemble, random_certified_problem, random_spd, ring_network_description, scaled_block
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -111,9 +115,11 @@ class TestLqr:
 
     def test_matches_dense_riccati_solver(self, rng_factory):
         rng = rng_factory(3)
+        systems = []
+        singles = []
         for _ in range(20):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 3))
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 4))
             A = rng.normal(size=(n, n))
             A *= 0.9 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
             B = rng.normal(size=(n, m))
@@ -124,6 +130,16 @@ class TestLqr:
             scale = 1.0 + np.max(np.abs(P_ref))
             assert np.max(np.abs(P - P_ref)) <= 1e-7 * scale
             assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0 - 1e-8
+            systems.append((A, B, Q, R))
+            singles.append((K, P, P_ref))
+        # one padded batch over all the mixed sizes gives each system's own answer
+        batch = lqr_gains(systems)
+        assert len(batch) == len(systems)
+        for (K, P), (K1, P1, P_ref) in zip(batch, singles):
+            assert K.shape == K1.shape and P.shape == P1.shape
+            assert np.max(np.abs(P - P_ref)) <= 1e-7 * (1.0 + np.max(np.abs(P_ref)))
+            assert np.max(np.abs(P - P1)) <= 1e-12 * np.max(np.abs(P1))
+            assert np.max(np.abs(K - K1)) <= 1e-12 * np.max(np.abs(K1))
 
     def test_flagship_groups_stabilized(self, flagship):
         for AK in flagship.ingredients.AK:
@@ -133,6 +149,36 @@ class TestLqr:
         # An unstable mode with no input: no stabilizing Riccati solution.
         with pytest.raises(RiccatiDiverged):
             lqr_gain([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    def test_undetectable_unstable_mode_is_not_stabilized(self):
+        # Q = 0 leaves the doubling iteration at P = 0, whose gain K = 0
+        # does not close the unstable mode; that gain is never returned.
+        with pytest.raises(NotStabilized):
+            lqr_gain([[2.0]], [[1.0]], [[0.0]], [[1.0]])
+
+    def test_empty_batch(self):
+        assert lqr_gains([]) == []
+
+    def test_builds_design_every_gain_in_one_batch(self, monkeypatch, flagship_cfg):
+        calls = {"lqr_gains": 0, "solve_discrete_are": 0}
+        batched = synthesis.lqr_gains
+
+        def counted_gains(systems):
+            calls["lqr_gains"] += 1
+            return batched(systems)
+
+        def forbidden(*args, **kwargs):
+            calls["solve_discrete_are"] += 1
+            raise AssertionError("solve_discrete_are called during a build")
+
+        monkeypatch.setattr(synthesis, "lqr_gains", counted_gains)
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", forbidden)
+        monkeypatch.setattr(synthesis, "solve_discrete_are", forbidden, raising=False)
+        for cfg in (flagship_cfg, config_from_dict(ring_network_description(8))):
+            calls.update(lqr_gains=0, solve_discrete_are=0)
+            problem = build_problem(cfg)
+            assert calls == {"lqr_gains": 1, "solve_discrete_are": 0}
+            assert all(np.max(np.abs(np.linalg.eigvals(AK))) < 1.0 for AK in problem.ingredients.AK)
 
 
 class TestBallCertificate:
