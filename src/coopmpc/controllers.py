@@ -8,11 +8,11 @@ cost over its own sequence with the others frozen, and the new iterate is
 the convex combination of the agents' candidate points, which keeps the
 cooperative cost nonincreasing and every iterate feasible.
 
-In condensed form the cooperative cost is the centralized QP.  Agent i's
-subproblem keeps the quadratic term of its own problem and takes its
-linear term from agent i's rows of the centralized g and H applied to the
-current iterate (see `AgentOperators`), so no trajectory is simulated
-between iterations.
+In condensed form the cooperative cost is the centralized QP and the
+iteration a Jacobi sweep on it.  Agent i's subproblem keeps its own
+quadratic term and takes its linear term from its positions of
+g_x xbar0 + H_off u, u the current iterate and H_off the centralized H
+without the agents' own blocks (`Problem.coupling_hessian`).
 """
 
 import time
@@ -126,9 +126,7 @@ def solve_centralized(problem, xbar0):
 
     Returns (InputSequenceSet, SolveInfo).
     """
-    xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
-    if xbar0.shape[0] != problem.n:
-        raise DimensionMismatch("state must have length %d" % problem.n)
+    xbar0 = problem.state(xbar0)
     t0 = time.perf_counter()
     qp = problem.centralized_operators().condense(xbar0)
     sol = _solved(qp, problem.solver, "centralized solve")
@@ -143,9 +141,8 @@ def solve_local_noiter(problem, i, x_i0):
     Returns (u_i of shape (m_i, N), SolveInfo).  The result depends only
     on agent i's state and data, never on the other agents.
     """
-    x_i0 = np.asarray(x_i0, dtype=float).reshape(-1)
     t0 = time.perf_counter()
-    qp = problem.agent_operators(i).ops.condense(x_i0)
+    qp = problem.agent_operators(i).condense(x_i0)
     sol = _solved(qp, problem.solver, "local solve of agent %d" % i)
     millis = 1e3 * (time.perf_counter() - t0)
     u_i = sol.u_stack.reshape(problem.N, problem.m[i]).T
@@ -167,7 +164,7 @@ def solve_noiter_all(problem, xbar0):
     one, an infeasible agent before a capped one, then the least
     terminal-ball margin.
     """
-    xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
+    xbar0 = problem.state(xbar0)
     slices = problem.group_slices()
     m = problem.m
     stage = np.empty((problem.N, sum(m)))
@@ -197,23 +194,26 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     Each iteration solves every agent's subproblem against the others'
     previous sequences and averages the candidate points with the
     configured weights.  Agent i's subproblem is its own condensed QP with
-    g replaced by Gx xbar0 + Hc u, u the stacked current iterate, so its
-    objective equals the cooperative cost as a function of agent i's
-    sequence, up to a constant.  `previous` supplies the starting iterate
-    (for example the shifted sequences of the last sampling instant); when
-    absent the no-iteration plan is used.  Time is accounted as the
-    maximum over agents of their summed per-iteration solve times.
+    g replaced by its positions of g_x xbar0 + H_off u (formed once per
+    iteration for all agents), u the stacked iterate and H_off
+    `Problem.coupling_hessian()`, so its objective is the cooperative cost
+    in agent i's sequence up to a constant.  `previous`, with stage shape
+    (N, sum(m)), is the starting iterate; when absent the no-iteration
+    plan is used.  Time is the maximum over agents of their summed solve
+    times, shared products charged to every agent.
 
     Returns (InputSequenceSet, SolveInfo) or, with keep_history, the
     history of iterates as a third element.
     """
-    xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
+    xbar0 = problem.state(xbar0)
     M = problem.M
     weights = cfg.weights or tuple(1.0 / M for _ in range(M))
     if len(weights) != M:
         raise DimensionMismatch("need one averaging weight per agent")
     slices = problem.group_slices()
     m = problem.m
+    if previous is not None and previous.stage.shape != (problem.N, sum(m)):
+        raise DimensionMismatch("previous iterate must have stage shape %r" % ((problem.N, sum(m)),))
     columns = _agent_columns(m)
     # Each input's averaging weight: agent i's weight on its own columns.
     column_weights = np.repeat(weights, m)
@@ -225,15 +225,20 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
         iters = info0.iterations
     else:
         iterate = previous
+    t0 = time.perf_counter()
+    g0 = problem.centralized_operators().g_x @ xbar0
+    H_off = problem.coupling_hessian()
+    per_agent += 1e3 * (time.perf_counter() - t0)
     history = []
     for _ in range(cfg.iters):
-        u = iterate.stacked()
+        t0 = time.perf_counter()
+        g = (g0 + H_off @ iterate.stacked()).reshape(iterate.stage.shape)
+        per_agent += 1e3 * (time.perf_counter() - t0)
         candidates = np.empty_like(iterate.stage)
         for i, cols in enumerate(columns):
             t0 = time.perf_counter()
-            agent = problem.agent_operators(i)
-            qp = agent.ops.condense(xbar0[slices[i]])
-            qp.g = agent.Gx @ xbar0 + agent.Hc @ u
+            qp = problem.agent_operators(i).condense(xbar0[slices[i]])
+            qp.g = g[:, cols].reshape(-1)
             sol = _solved(qp, problem.solver, "cooperative solve of agent %d" % i)
             per_agent[i] += 1e3 * (time.perf_counter() - t0)
             iters += sol.iterations

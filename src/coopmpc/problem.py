@@ -10,25 +10,6 @@ from .errors import DimensionMismatch
 from .qp import HorizonOperators, SolverOptions, state_cost_blocks
 
 
-@dataclass(frozen=True, eq=False)
-class AgentOperators:
-    """Agent i's cached horizon operators and its rows of the centralized QP.
-
-    `ops` condenses agent i's own problem: its group-diagonal weights, its
-    input box and its terminal ball.  Gx and Hc are the rows of the
-    centralized condensed problem that belong to agent i's inputs, the
-    stage-major positions k * sum(m) + off_i + (0..m_i - 1): Gx of the map
-    g = g_x xbar0, Hc of H with agent i's own columns zeroed.  For a
-    stacked input u of all agents, Gx xbar0 + Hc u is the linear term of the
-    centralized cost as a function of agent i's inputs with the others held
-    at u; its quadratic term is ops.H.  Read-only.
-    """
-
-    ops: HorizonOperators
-    Gx: np.ndarray
-    Hc: np.ndarray
-
-
 @dataclass(eq=False)
 class Problem:
     """Plant, transformed data, cost, ingredients and solve settings.
@@ -37,11 +18,11 @@ class Problem:
     is [-u_max, u_max].  All controller entry points take this bundle plus
     a regrouped initial state.
 
-    The horizon operators of the local and the centralized problems and
-    the coupled-cost blocks depend only on these fields, so they are built
-    on first use and kept; a copy made with `dataclasses.replace` or
-    `separable` starts without them.  The fields are not meant to change
-    after construction.
+    The horizon operators of the local and the centralized problems, the
+    coupling Hessian of the cooperative iteration and the coupled-cost
+    blocks depend only on these fields, so each is built on first use and
+    kept; a copy made with `dataclasses.replace` or `separable` starts
+    without them.  The fields are not meant to change after construction.
     """
 
     pmap: object
@@ -55,12 +36,12 @@ class Problem:
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.u_max) != self.M:
+            raise DimensionMismatch("need one input bound per agent")
         self.u_max = tuple(
             np.broadcast_to(np.asarray(b, dtype=float).reshape(-1), (mi,)).copy()
             for b, mi in zip(self.u_max, self.m)
         )
-        if len(self.u_max) != self.M:
-            raise DimensionMismatch("need one input bound per agent")
 
     @property
     def M(self):
@@ -78,13 +59,20 @@ class Problem:
     def group_slices(self):
         return self.pmap.group_slices()
 
+    def state(self, xbar):
+        """xbar as a float vector; DimensionMismatch unless it has n entries."""
+        xbar = np.asarray(xbar, dtype=float).reshape(-1)
+        if xbar.shape[0] != self.n:
+            raise DimensionMismatch("state must have length %d" % self.n)
+        return xbar
+
     def agent_operators(self, i):
-        """AgentOperators of agent i's local problem (built once)."""
+        """HorizonOperators of agent i's local problem (built once)."""
         key = ("agent", i)
         if key not in self._operators:
             tc = self.tcost
             s = self.group_slices()[i]
-            ops = HorizonOperators(
+            self._operators[key] = HorizonOperators(
                 self.tplant.Abar[i],
                 self.tplant.Btilde[i],
                 tc.Qbar[s, s],
@@ -95,15 +83,6 @@ class Problem:
                 self.u_max[i],
                 terminal_balls=[(slice(0, self.pmap.bar_dims[i]), self.ingredients.ball_radius[i])],
             )
-            cent = self.centralized_operators()
-            off, total = sum(self.m[:i]), sum(self.m)
-            rows = np.concatenate([k * total + off + np.arange(self.m[i]) for k in range(self.N)])
-            Hc = cent.H[rows, :]
-            Hc[:, rows] = 0.0
-            Hc.setflags(write=False)
-            Gx = cent.g_x[rows, :]
-            Gx.setflags(write=False)
-            self._operators[key] = AgentOperators(ops=ops, Gx=Gx, Hc=Hc)
         return self._operators[key]
 
     def centralized_operators(self):
@@ -124,6 +103,21 @@ class Problem:
                 ],
             )
         return self._operators["centralized"]
+
+    def coupling_hessian(self):
+        """The centralized H with each agent's own block zeroed (built once).
+
+        For a stacked plan u, agent i's stage-major positions of
+        g_x xbar0 + coupling_hessian() u are the linear term of the
+        centralized cost in agent i's inputs with the others held at u.
+        Read-only; all zero on a `separable` copy.
+        """
+        if "coupling" not in self._operators:
+            owner = np.tile(np.repeat(np.arange(self.M), self.m), self.N)
+            H_off = np.where(owner[:, None] == owner[None, :], 0.0, self.centralized_operators().H)
+            H_off.setflags(write=False)
+            self._operators["coupling"] = H_off
+        return self._operators["coupling"]
 
     def coupled_cost_blocks(self):
         """(A, B, C) of the coupled cost CC as a quadratic form (built once).
@@ -152,7 +146,8 @@ class Problem:
 
     def step(self, xbar, u0):
         """One plant step; u0 is the list of per-agent inputs."""
-        out = np.empty_like(np.asarray(xbar, dtype=float))
+        xbar = self.state(xbar)
+        out = np.empty_like(xbar)
         for i, s in enumerate(self.group_slices()):
             ui = np.asarray(u0[i], dtype=float).reshape(-1)
             out[s] = self.tplant.Abar[i] @ xbar[s] + self.tplant.Btilde[i] @ ui

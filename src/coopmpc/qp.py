@@ -128,16 +128,14 @@ def state_cost_blocks(Phi, Gamma, Q, P):
     With x(1..N) = Phi x0 + Gamma u and Qbig = blkdiag(Q, ..., Q, P) over
     x(1..N), the sum of x(k)'Q x(k) over k = 0..N-1 plus x(N)'P x(N) is
     u'Au + 2 u'B x0 + x0'C x0 for the returned (A, B, C) =
-    (Gamma'Qbig Gamma, Gamma'Qbig Phi, Q + Phi'Qbig Phi).
+    (Gamma'Qbig Gamma, Gamma'Qbig Phi, Q + Phi'Qbig Phi), formed stage by stage.
     """
     n = Q.shape[0]
     N = Phi.shape[0] // n
-    Qbig = np.zeros((N * n, N * n))
-    for k in range(N - 1):
-        Qbig[k * n : (k + 1) * n, k * n : (k + 1) * n] = Q
-    Qbig[(N - 1) * n :, (N - 1) * n :] = P
-    QG = Qbig @ Gamma
-    return Gamma.T @ QG, QG.T @ Phi, Q + Phi.T @ Qbig @ Phi
+    stages = [(slice(k * n, (k + 1) * n), Q if k < N - 1 else P) for k in range(N)]
+    QG = np.vstack([W @ Gamma[rows] for rows, W in stages])
+    PhiQ = np.hstack([Phi[rows].T @ W for rows, W in stages])
+    return Gamma.T @ QG, QG.T @ Phi, Q + PhiQ @ Phi
 
 
 class HorizonOperators:

@@ -178,6 +178,6 @@ def noiter_verdicts(problem, xbar):
     xbar, solved with the problem's options."""
     out = []
     for i, s in enumerate(problem.group_slices()):
-        qp = problem.agent_operators(i).ops.condense(xbar[s])
+        qp = problem.agent_operators(i).condense(xbar[s])
         out.append((solve_qp(qp, options=problem.solver), search_calls(qp, problem.solver), least_margin(qp)))
     return out

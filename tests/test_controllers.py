@@ -118,7 +118,7 @@ class TestNoIteration:
         with pytest.raises(SolverFailure) as info:
             solve_local_noiter(flagship, 0, x_0)
         sol = info.value.solution
-        qp = flagship.agent_operators(0).ops.condense(x_0)
+        qp = flagship.agent_operators(0).condense(x_0)
         # the exact check, the search's box QPs, then the certificate
         assert (info.value.status, sol.iterations) == (INFEASIBLE, 1 + search_calls(qp) + 1)
         assert sol.margin == least_margin(qp)
@@ -154,6 +154,10 @@ class TestNoIteration:
         ua, _ = solve_noiter_all(flagship, xa)
         ub, _ = solve_noiter_all(flagship, xb)
         assert np.array_equal(ua.u[0], ub.u[0])
+
+    def test_wrong_state_length(self, flagship):
+        with pytest.raises(DimensionMismatch):
+            solve_noiter_all(flagship, np.zeros(20))
 
     def test_zero_state_zero_sequences(self, flagship):
         seqs, _ = solve_noiter_all(flagship, np.zeros(18))
@@ -225,6 +229,29 @@ class TestCooperative:
         cfg = StrategyConfig(kind="coop", iters=1, weights=(0.5, 0.5))
         with pytest.raises(DimensionMismatch):
             solve_cooperative(flagship, np.zeros(18), cfg)
+
+    def test_wrong_state_length(self, flagship):
+        with pytest.raises(DimensionMismatch):
+            solve_cooperative(flagship, np.zeros(20), StrategyConfig(kind="coop", iters=1))
+
+    def test_previous_of_wrong_stage_shape(self, flagship):
+        cfg = StrategyConfig(kind="coop", iters=1)
+        N, m = flagship.N, flagship.m
+        for shape in ((N - 1, sum(m)), (N, sum(m) + 1)):
+            previous = InputSequenceSet(np.zeros(shape), m)
+            with pytest.raises(DimensionMismatch):
+                solve_cooperative(flagship, np.zeros(18), cfg, previous=previous)
+
+
+class TestProblemInputs:
+    def test_step_rejects_wrong_state_length(self, flagship):
+        u0 = [np.zeros(mi) for mi in flagship.m]
+        with pytest.raises(DimensionMismatch):
+            flagship.step(np.zeros(20), u0)
+
+    def test_one_input_bound_per_agent(self, flagship):
+        with pytest.raises(DimensionMismatch):
+            replace(flagship, u_max=flagship.u_max + (flagship.u_max[0],))
 
 
 class TestDispatchAndShift:

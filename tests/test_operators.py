@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from coopmpc import TerminalBall, build_condensed, initial_state, solve_noiter_all, solve_qp
+from coopmpc import (
+    StrategyConfig,
+    TerminalBall,
+    build_condensed,
+    controllers,
+    initial_state,
+    solve_cooperative,
+    solve_noiter_all,
+    solve_qp,
+)
 from coopmpc.qp import INFEASIBLE, ball_margins
 
 from support import X0_EXP2
@@ -43,7 +52,7 @@ def by_formula(qp, Q, P, x0, x_linear, balls):
 
 
 def local_qp(problem, i, x_i0):
-    return problem.agent_operators(i).ops.condense(x_i0)
+    return problem.agent_operators(i).condense(x_i0)
 
 
 def agent_rows(problem, i):
@@ -128,15 +137,31 @@ class TestCachedCondensation:
         for xbar0 in states:
             plan, _ = solve_noiter_all(flagship, xbar0)
             fixed = flagship.simulate(xbar0, plan)
+            # The cooperative linear term from the coupling Hessian against
+            # the state-space stage sum along the simulated plan.
+            g = flagship.centralized_operators().g_x @ xbar0 + flagship.coupling_hessian() @ plan.stacked()
             for i, s in enumerate(flagship.group_slices()):
                 assert_same_qp(local_qp(flagship, i, xbar0[s]), fresh_local(flagship, i, xbar0[s]))
-                # The cooperative linear term from the centralized rows
-                # against the state-space stage sum along the simulated plan.
-                agent = flagship.agent_operators(i)
-                close(
-                    agent.Gx @ xbar0 + agent.Hc @ plan.stacked(),
-                    fresh_local(flagship, i, xbar0[s], fixed).g,
-                )
+                close(g[agent_rows(flagship, i)], fresh_local(flagship, i, xbar0[s], fixed).g)
+
+    def test_cooperative_subproblems_take_the_coupled_linear_term(self, flagship, states, monkeypatch):
+        # The g each agent's coop subproblem is solved with, against the
+        # stage sum along the other agents' starting plan.
+        seen = []
+
+        def recorded(qp, *args, **kwargs):
+            seen.append(qp.g.copy())
+            return solve_qp(qp, *args, **kwargs)
+
+        monkeypatch.setattr(controllers, "solve_qp", recorded)
+        for xbar0 in states:
+            plan, _ = solve_noiter_all(flagship, xbar0)
+            fixed = flagship.simulate(xbar0, plan)
+            seen.clear()
+            solve_cooperative(flagship, xbar0, StrategyConfig(kind="coop", iters=1), previous=plan)
+            assert len(seen) == flagship.M
+            for i, s in enumerate(flagship.group_slices()):
+                close(seen[i], fresh_local(flagship, i, xbar0[s], fixed).g)
 
     def test_centralized_matches_fresh_build(self, flagship, states):
         for xbar0 in states:
@@ -146,29 +171,35 @@ class TestCachedCondensation:
     def test_operators_built_once(self, flagship):
         assert flagship.agent_operators(1) is flagship.agent_operators(1)
         assert flagship.centralized_operators() is flagship.centralized_operators()
+        assert flagship.coupling_hessian() is flagship.coupling_hessian()
 
     def test_coupling_rows_skip_own_block(self, flagship):
         H = flagship.centralized_operators().H
+        H_off = flagship.coupling_hessian()
+        own = np.zeros(H.shape, dtype=bool)
         for i in range(flagship.M):
-            agent = flagship.agent_operators(i)
             rows = agent_rows(flagship, i)
-            own = np.zeros(H.shape[1], dtype=bool)
-            own[rows] = True
-            assert np.all(agent.Hc[:, own] == 0.0)
-            assert np.array_equal(agent.Hc[:, ~own], H[rows][:, ~own])
-            # The own block that Hc leaves out is agent i's local H.
-            close(H[np.ix_(rows, rows)], agent.ops.H)
+            own[np.ix_(rows, rows)] = True
+            # The own block that the coupling Hessian leaves out is agent i's local H.
+            close(H[np.ix_(rows, rows)], flagship.agent_operators(i).H)
+        assert np.all(H_off[own] == 0.0)
+        assert np.array_equal(H_off[~own], H[~own])
+
+    def test_local_solves_leave_centralized_unbuilt(self, flagship, states):
+        fresh = replace(flagship)
+        solve_noiter_all(fresh, states[0])
+        assert set(fresh._operators) == {("agent", i) for i in range(fresh.M)}
 
 
 class TestCacheIsolation:
     def test_separable_builds_its_own(self, flagship, states):
         flagship.agent_operators(0)
-        flagship.centralized_operators()
+        flagship.coupling_hessian()
         sep = flagship.separable()
         for i in range(sep.M):
-            agent = sep.agent_operators(i)
-            assert agent is not flagship.agent_operators(i)
-            assert not np.any(agent.Hc)
+            assert sep.agent_operators(i) is not flagship.agent_operators(i)
+        assert sep.coupling_hessian() is not flagship.coupling_hessian()
+        assert not np.any(sep.coupling_hessian())
         assert sep.centralized_operators() is not flagship.centralized_operators()
         xbar0 = states[1]
         assert_same_qp(sep.centralized_operators().condense(xbar0), fresh_centralized(sep, xbar0))
@@ -238,11 +269,8 @@ class TestReadOnly:
                 target.terminal[0].Tmap[0, 0] = 0.0
             with pytest.raises(ValueError):
                 target.ops.Gamma[0, 0] = 0.0
-        agent = flagship.agent_operators(0)
         with pytest.raises(ValueError):
-            agent.Hc[0, -1] = 0.0
-        with pytest.raises(ValueError):
-            agent.Gx[0, 0] = 0.0
+            flagship.coupling_hessian()[0, -1] = 0.0
 
     def test_search_ball_data_is_built_once(self, flagship, states):
         # the multiplier search reads the balls' stacked maps, T^T T and
@@ -284,7 +312,7 @@ class TestFeasibilityStructure:
             xbar = flagship.pmap.to_regrouped(x)
             central = [margin for margin, _ in ball_margins(cen.condense(xbar))]
             local = [
-                ball_margins(flagship.agent_operators(i).ops.condense(xbar[s]))[0][0]
+                ball_margins(flagship.agent_operators(i).condense(xbar[s]))[0][0]
                 for i, s in enumerate(slices)
             ]
             assert np.max(np.abs(np.subtract(central, local))) <= 1e-12

@@ -323,7 +323,7 @@ def seed20_draw_qps(flagship, draws=50):
         xbar = flagship.pmap.to_regrouped(x)
         yield flagship.centralized_operators().condense(xbar)
         for i, s in enumerate(flagship.group_slices()):
-            yield flagship.agent_operators(i).ops.condense(xbar[s])
+            yield flagship.agent_operators(i).condense(xbar[s])
 
 
 def in_box_and_balls(qp, u):
