@@ -11,13 +11,14 @@ cooperative cost nonincreasing and every iterate feasible.
 In condensed form the cooperative cost is the centralized QP and the
 iteration a Jacobi sweep on it.  Agent i's subproblem keeps its own
 quadratic term and takes its linear term from its positions of
-g_x xbar0 + H_off u, u the current iterate and H_off the centralized H
-without the agents' own blocks (`Problem.coupling_hessian`).
+g_x xbar0 + 2A u, u the current iterate and 2A, from
+`Problem.coupled_cost_blocks`, the centralized H without the agents' own blocks.
 """
 
 import time
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -45,11 +46,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in ("centralized", "noiter", "coop"):
             raise DimensionMismatch("unknown strategy kind %r" % (self.kind,))
-        if self.kind == "coop" and self.iters < 1:
-            raise DimensionMismatch("cooperative strategy needs iters >= 1")
+        iters = self.iters
+        if self.kind == "coop" and (type(iters) is bool or not isinstance(iters, Integral) or iters < 1):
+            raise DimensionMismatch("cooperative strategy needs an integer iters >= 1, got %r" % (iters,))
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
-            if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
+            if not all(np.isfinite(w)) or any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
                 raise DimensionMismatch("averaging weights must be a convex combination")
             self.weights = w
 
@@ -193,14 +195,15 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
 
     Each iteration solves every agent's subproblem against the others'
     previous sequences and averages the candidate points with the
-    configured weights.  Agent i's subproblem is its own condensed QP with
-    g replaced by its positions of g_x xbar0 + H_off u (formed once per
-    iteration for all agents), u the stacked iterate and H_off
-    `Problem.coupling_hessian()`, so its objective is the cooperative cost
-    in agent i's sequence up to a constant.  `previous`, with stage shape
-    (N, sum(m)), is the starting iterate; when absent the no-iteration
-    plan is used.  Time is the maximum over agents of their summed solve
-    times, shared products charged to every agent.
+    configured weights.  Agent i's subproblem is its own QP, condensed
+    once per call, with g replaced by its positions of g_x xbar0 + 2A u
+    (formed once per iteration for all agents), u the stacked iterate and
+    A the first of `Problem.coupled_cost_blocks()`, so its objective is
+    the cooperative cost in agent i's sequence up to a constant.
+    `previous`, with stage shape (N, sum(m)), is the starting iterate;
+    when absent the no-iteration plan is used.  Time is the maximum over
+    agents of their summed solve times, shared products charged to every
+    agent.
 
     Returns (InputSequenceSet, SolveInfo) or, with keep_history, the
     history of iterates as a third element.
@@ -210,7 +213,6 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     weights = cfg.weights or tuple(1.0 / M for _ in range(M))
     if len(weights) != M:
         raise DimensionMismatch("need one averaging weight per agent")
-    slices = problem.group_slices()
     m = problem.m
     if previous is not None and previous.stage.shape != (problem.N, sum(m)):
         raise DimensionMismatch("previous iterate must have stage shape %r" % ((problem.N, sum(m)),))
@@ -225,19 +227,23 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
         iters = info0.iterations
     else:
         iterate = previous
+    qps = []
+    for i, s in enumerate(problem.group_slices()):
+        t0 = time.perf_counter()
+        qps.append(problem.agent_operators(i).condense(xbar0[s]))
+        per_agent[i] += 1e3 * (time.perf_counter() - t0)
     t0 = time.perf_counter()
     g0 = problem.centralized_operators().g_x @ xbar0
-    H_off = problem.coupling_hessian()
+    A = problem.coupled_cost_blocks()[0]
     per_agent += 1e3 * (time.perf_counter() - t0)
     history = []
     for _ in range(cfg.iters):
         t0 = time.perf_counter()
-        g = (g0 + H_off @ iterate.stacked()).reshape(iterate.stage.shape)
+        g = (g0 + 2.0 * (A @ iterate.stacked())).reshape(iterate.stage.shape)
         per_agent += 1e3 * (time.perf_counter() - t0)
         candidates = np.empty_like(iterate.stage)
-        for i, cols in enumerate(columns):
+        for i, (qp, cols) in enumerate(zip(qps, columns)):
             t0 = time.perf_counter()
-            qp = problem.agent_operators(i).condense(xbar0[slices[i]])
             qp.g = g[:, cols].reshape(-1)
             sol = _solved(qp, problem.solver, "cooperative solve of agent %d" % i)
             per_agent[i] += 1e3 * (time.perf_counter() - t0)

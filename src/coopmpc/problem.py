@@ -18,11 +18,11 @@ class Problem:
     is [-u_max, u_max].  All controller entry points take this bundle plus
     a regrouped initial state.
 
-    The horizon operators of the local and the centralized problems, the
-    coupling Hessian of the cooperative iteration and the coupled-cost
-    blocks depend only on these fields, so each is built on first use and
-    kept; a copy made with `dataclasses.replace` or `separable` starts
-    without them.  The fields are not meant to change after construction.
+    The horizon operators of the local and the centralized problems and
+    the coupled-cost blocks (whose 2A is also the cooperative coupling)
+    depend only on these fields, so each is built on first use and kept;
+    a copy made with `dataclasses.replace` or `separable` starts without
+    them.  The fields are not meant to change after construction.
     """
 
     pmap: object
@@ -38,10 +38,10 @@ class Problem:
     def __post_init__(self):
         if len(self.u_max) != self.M:
             raise DimensionMismatch("need one input bound per agent")
-        self.u_max = tuple(
-            np.broadcast_to(np.asarray(b, dtype=float).reshape(-1), (mi,)).copy()
-            for b, mi in zip(self.u_max, self.m)
-        )
+        bounds = [np.asarray(b, dtype=float).reshape(-1) for b in self.u_max]
+        if any(b.shape[0] not in (1, mi) for b, mi in zip(bounds, self.m)):
+            raise DimensionMismatch("an agent's input bound needs 1 or m_i entries")
+        self.u_max = tuple(np.broadcast_to(b, (mi,)).copy() for b, mi in zip(bounds, self.m))
 
     @property
     def M(self):
@@ -104,33 +104,21 @@ class Problem:
             )
         return self._operators["centralized"]
 
-    def coupling_hessian(self):
-        """The centralized H with each agent's own block zeroed (built once).
-
-        For a stacked plan u, agent i's stage-major positions of
-        g_x xbar0 + coupling_hessian() u are the linear term of the
-        centralized cost in agent i's inputs with the others held at u.
-        Read-only; all zero on a `separable` copy.
-        """
-        if "coupling" not in self._operators:
-            owner = np.tile(np.repeat(np.arange(self.M), self.m), self.N)
-            H_off = np.where(owner[:, None] == owner[None, :], 0.0, self.centralized_operators().H)
-            H_off.setflags(write=False)
-            self._operators["coupling"] = H_off
-        return self._operators["coupling"]
-
     def coupled_cost_blocks(self):
         """(A, B, C) of the coupled cost CC as a quadratic form (built once).
 
         CC, the coupling residuals' share of the state cost, Qtilde over
         x(0..N-1) plus Ptilde at x(N), is u'Au + 2 u'B xbar0 + xbar0'C xbar0
         for the stacked plan u (`qp.state_cost_blocks` on the centralized
-        Phi and Gamma).  Read-only; all zero on a `separable` copy.
+        Phi and Gamma).  A is symmetric and 0 on each agent's own inputs,
+        so 2A is the centralized H off those blocks, the cooperative
+        coupling.  Read-only; all zero on a `separable` copy.
         """
         if "coupled_cost" not in self._operators:
             cent = self.centralized_operators()
             tc = self.tcost
-            blocks = state_cost_blocks(cent.Phi, cent.Gamma, tc.Qtilde, tc.Ptilde)
+            A, B, C = state_cost_blocks(cent.Phi, cent.Gamma, tc.Qtilde, tc.Ptilde)
+            blocks = (0.5 * (A + A.T), B, C)
             for b in blocks:
                 b.setflags(write=False)
             self._operators["coupled_cost"] = blocks
@@ -145,11 +133,13 @@ class Problem:
         return block_diag(*self.tplant.Btilde)
 
     def step(self, xbar, u0):
-        """One plant step; u0 is the list of per-agent inputs."""
+        """One plant step; u0 is the list of per-agent inputs, m_i entries each."""
         xbar = self.state(xbar)
+        u0 = [np.asarray(ui, dtype=float).reshape(-1) for ui in u0]
+        if tuple(map(len, u0)) != self.m:
+            raise DimensionMismatch("need one input per agent, of lengths %r" % (self.m,))
         out = np.empty_like(xbar)
-        for i, s in enumerate(self.group_slices()):
-            ui = np.asarray(u0[i], dtype=float).reshape(-1)
+        for i, (s, ui) in enumerate(zip(self.group_slices(), u0)):
             out[s] = self.tplant.Abar[i] @ xbar[s] + self.tplant.Btilde[i] @ ui
         return out
 

@@ -7,6 +7,7 @@ import pytest
 
 from coopmpc import (
     DimensionMismatch,
+    HorizonOperators,
     InputSequenceSet,
     SolverFailure,
     SolverOptions,
@@ -48,14 +49,16 @@ class TestStrategyConfig:
             StrategyConfig(kind="magic")
 
     def test_rejects_empty_iteration_budget(self):
-        with pytest.raises(DimensionMismatch):
-            StrategyConfig(kind="coop", iters=0)
+        # a budget must be a whole count: no fraction, string or bool
+        for iters in (0, 2.5, "3", True):
+            with pytest.raises(DimensionMismatch):
+                StrategyConfig(kind="coop", iters=iters)
+        assert StrategyConfig(kind="coop", iters=np.int64(3)).label() == "coop_3"
 
     def test_rejects_non_simplex_weights(self):
-        with pytest.raises(DimensionMismatch):
-            StrategyConfig(kind="coop", iters=1, weights=(0.5, 0.2))
-        with pytest.raises(DimensionMismatch):
-            StrategyConfig(kind="coop", iters=1, weights=(1.5, -0.5))
+        for weights in ((0.5, 0.2), (1.5, -0.5), (np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5)):
+            with pytest.raises(DimensionMismatch):
+                StrategyConfig(kind="coop", iters=1, weights=weights)
 
 
 class TestSequences:
@@ -234,6 +237,25 @@ class TestCooperative:
         with pytest.raises(DimensionMismatch):
             solve_cooperative(flagship, np.zeros(20), StrategyConfig(kind="coop", iters=1))
 
+    def test_condenses_each_agent_once(self, flagship, monkeypatch):
+        # from a given start only the coop subproblems condense; a cold
+        # start adds the no-iteration solve's M
+        calls = []
+        condense = HorizonOperators.condense
+
+        def counted(ops, x0):
+            calls.append(ops)
+            return condense(ops, x0)
+
+        monkeypatch.setattr(HorizonOperators, "condense", counted)
+        xbar = flagship.pmap.to_regrouped(X0_EXP2)
+        start, _ = solve_noiter_all(flagship, xbar)
+        for previous, expected in ((start, flagship.M), (None, 2 * flagship.M)):
+            calls.clear()
+            solve_cooperative(flagship, xbar, StrategyConfig(kind="coop", iters=4), previous=previous)
+            assert len(calls) == expected
+            assert calls[-flagship.M :] == [flagship.agent_operators(i) for i in range(flagship.M)]
+
     def test_previous_of_wrong_stage_shape(self, flagship):
         cfg = StrategyConfig(kind="coop", iters=1)
         N, m = flagship.N, flagship.m
@@ -250,8 +272,19 @@ class TestProblemInputs:
             flagship.step(np.zeros(20), u0)
 
     def test_one_input_bound_per_agent(self, flagship):
-        with pytest.raises(DimensionMismatch):
-            replace(flagship, u_max=flagship.u_max + (flagship.u_max[0],))
+        # one bound per agent, each with 1 or m_i entries
+        wide = flagship.u_max[:1] + (np.full(flagship.m[1] + 1, 4.0),) + flagship.u_max[2:]
+        for bounds in (flagship.u_max + (flagship.u_max[0],), wide):
+            with pytest.raises(DimensionMismatch):
+                replace(flagship, u_max=bounds)
+
+    def test_step_needs_one_input_per_agent(self, flagship):
+        # M - 1 inputs, M + 1 inputs, or an input with m_i + 1 entries
+        u0 = [np.zeros(mi) for mi in flagship.m]
+        long_last = u0[:-1] + [np.zeros(flagship.m[-1] + 1)]
+        for bad in (u0[:-1], u0 + [np.zeros(1)], long_last):
+            with pytest.raises(DimensionMismatch):
+                flagship.step(np.ones(flagship.n), bad)
 
 
 class TestDispatchAndShift:

@@ -10,6 +10,8 @@ from coopmpc import (
     StrategyConfig,
     TerminalBall,
     build_condensed,
+    build_problem,
+    config_from_dict,
     controllers,
     initial_state,
     solve_cooperative,
@@ -18,7 +20,7 @@ from coopmpc import (
 )
 from coopmpc.qp import INFEASIBLE, ball_margins
 
-from support import X0_EXP2
+from support import X0_EXP2, ring_network_description
 
 RTOL = 1e-12
 
@@ -137,9 +139,10 @@ class TestCachedCondensation:
         for xbar0 in states:
             plan, _ = solve_noiter_all(flagship, xbar0)
             fixed = flagship.simulate(xbar0, plan)
-            # The cooperative linear term from the coupling Hessian against
-            # the state-space stage sum along the simulated plan.
-            g = flagship.centralized_operators().g_x @ xbar0 + flagship.coupling_hessian() @ plan.stacked()
+            # The cooperative linear term from the coupled-cost block A
+            # against the state-space stage sum along the simulated plan.
+            A = flagship.coupled_cost_blocks()[0]
+            g = flagship.centralized_operators().g_x @ xbar0 + 2.0 * (A @ plan.stacked())
             for i, s in enumerate(flagship.group_slices()):
                 assert_same_qp(local_qp(flagship, i, xbar0[s]), fresh_local(flagship, i, xbar0[s]))
                 close(g[agent_rows(flagship, i)], fresh_local(flagship, i, xbar0[s], fixed).g)
@@ -171,19 +174,24 @@ class TestCachedCondensation:
     def test_operators_built_once(self, flagship):
         assert flagship.agent_operators(1) is flagship.agent_operators(1)
         assert flagship.centralized_operators() is flagship.centralized_operators()
-        assert flagship.coupling_hessian() is flagship.coupling_hessian()
+        assert flagship.coupled_cost_blocks() is flagship.coupled_cost_blocks()
 
     def test_coupling_rows_skip_own_block(self, flagship):
-        H = flagship.centralized_operators().H
-        H_off = flagship.coupling_hessian()
-        own = np.zeros(H.shape, dtype=bool)
-        for i in range(flagship.M):
-            rows = agent_rows(flagship, i)
-            own[np.ix_(rows, rows)] = True
-            # The own block that the coupling Hessian leaves out is agent i's local H.
-            close(H[np.ix_(rows, rows)], flagship.agent_operators(i).H)
-        assert np.all(H_off[own] == 0.0)
-        assert np.array_equal(H_off[~own], H[~own])
+        # 2A, the coupling the cooperative iteration reads, is the
+        # centralized H off the agents' own blocks, where A is 0.
+        ring = build_problem(config_from_dict(ring_network_description(4)))
+        for problem in (flagship, ring):
+            H = problem.centralized_operators().H
+            A = problem.coupled_cost_blocks()[0]
+            assert np.array_equal(A, A.T)
+            own = np.zeros(H.shape, dtype=bool)
+            for i in range(problem.M):
+                rows = agent_rows(problem, i)
+                own[np.ix_(rows, rows)] = True
+                # The own block that the coupling leaves out is agent i's local H.
+                close(H[np.ix_(rows, rows)], problem.agent_operators(i).H)
+            assert np.all(A[own] == 0.0)
+            assert np.max(np.abs(2.0 * A[~own] - H[~own])) <= 1e-14 * np.max(np.abs(H))
 
     def test_local_solves_leave_centralized_unbuilt(self, flagship, states):
         fresh = replace(flagship)
@@ -194,12 +202,12 @@ class TestCachedCondensation:
 class TestCacheIsolation:
     def test_separable_builds_its_own(self, flagship, states):
         flagship.agent_operators(0)
-        flagship.coupling_hessian()
+        flagship.coupled_cost_blocks()
         sep = flagship.separable()
         for i in range(sep.M):
             assert sep.agent_operators(i) is not flagship.agent_operators(i)
-        assert sep.coupling_hessian() is not flagship.coupling_hessian()
-        assert not np.any(sep.coupling_hessian())
+        assert sep.coupled_cost_blocks() is not flagship.coupled_cost_blocks()
+        assert not np.any(sep.coupled_cost_blocks()[0])
         assert sep.centralized_operators() is not flagship.centralized_operators()
         xbar0 = states[1]
         assert_same_qp(sep.centralized_operators().condense(xbar0), fresh_centralized(sep, xbar0))
@@ -270,7 +278,7 @@ class TestReadOnly:
             with pytest.raises(ValueError):
                 target.ops.Gamma[0, 0] = 0.0
         with pytest.raises(ValueError):
-            flagship.coupling_hessian()[0, -1] = 0.0
+            flagship.coupled_cost_blocks()[0][0, -1] = 0.0
 
     def test_search_ball_data_is_built_once(self, flagship, states):
         # the multiplier search reads the balls' stacked maps, T^T T and
