@@ -30,6 +30,11 @@ from .errors import DimensionMismatch, SolverFailure
 from .qp import INFEASIBLE, SOLVED, build_condensed, solve_qp  # noqa: F401
 
 
+def is_count(value, least):
+    """True for an int, not a bool, of at least `least`."""
+    return type(value) is not bool and isinstance(value, Integral) and value >= least
+
+
 @dataclass
 class StrategyConfig:
     """Which solver runs at each sampling instant.
@@ -46,9 +51,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in ("centralized", "noiter", "coop"):
             raise DimensionMismatch("unknown strategy kind %r" % (self.kind,))
-        iters = self.iters
-        if self.kind == "coop" and (type(iters) is bool or not isinstance(iters, Integral) or iters < 1):
-            raise DimensionMismatch("cooperative strategy needs an integer iters >= 1, got %r" % (iters,))
+        if self.kind == "coop" and not is_count(self.iters, 1):
+            raise DimensionMismatch("cooperative strategy needs an integer iters >= 1, got %r" % (self.iters,))
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
             if not all(np.isfinite(w)) or any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
@@ -214,8 +218,8 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     if len(weights) != M:
         raise DimensionMismatch("need one averaging weight per agent")
     m = problem.m
-    if previous is not None and previous.stage.shape != (problem.N, sum(m)):
-        raise DimensionMismatch("previous iterate must have stage shape %r" % ((problem.N, sum(m)),))
+    if previous is not None:
+        problem.plan(previous)
     columns = _agent_columns(m)
     # Each input's averaging weight: agent i's weight on its own columns.
     column_weights = np.repeat(weights, m)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .controllers import (
     StrategyConfig,
+    is_count,
     shift_sequences,
     solve_centralized,
     solve_cooperative,
@@ -34,7 +35,7 @@ def global_cost(problem, xbar0, seqs):
     stacked plan u: the stage costs over the horizon plus the terminal
     cost, with no trajectory simulated.
     """
-    return problem.centralized_operators().condense(xbar0).objective(seqs.stacked())
+    return problem.centralized_operators().condense(xbar0).objective(problem.plan(seqs).stacked())
 
 
 def evaluate_cost(problem, xbar0, seqs):
@@ -45,11 +46,12 @@ def evaluate_cost(problem, xbar0, seqs):
     input term), evaluated as u'Au + 2 u'B xbar0 + xbar0'C xbar0 on the
     cached `Problem.coupled_cost_blocks`, with no trajectory simulated.
     """
+    xbar0 = problem.state(xbar0)
+    gc = global_cost(problem, xbar0, seqs)
     A, B, C = problem.coupled_cost_blocks()
-    xbar0 = np.asarray(xbar0, dtype=float).reshape(-1)
     u = seqs.stacked()
     cc = float(u @ (A @ u) + 2.0 * (u @ (B @ xbar0)) + xbar0 @ (C @ xbar0))
-    return global_cost(problem, xbar0, seqs), cc
+    return gc, cc
 
 
 @dataclass
@@ -231,10 +233,13 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
     iterations is the p-th iterate of one deterministic run.  Losses are
     relative to the centralized row, and 0.0 where its cost is 0 (at the
     origin every strategy plans zero inputs).  Every iteration count must
-    be at least 1, as for the cooperative strategy itself.
+    be an integer of at least 1, as for the cooperative strategy itself,
+    and `warmup_steps` an integer of at least 0.
     """
-    if any(p < 1 for p in iter_counts or ()):
-        raise DimensionMismatch("cooperative iteration counts must be >= 1, got %r" % (tuple(iter_counts),))
+    if not all(is_count(p, 1) for p in iter_counts or ()):
+        raise DimensionMismatch("iteration counts must be integers >= 1, got %r" % (tuple(iter_counts),))
+    if not is_count(warmup_steps, 0):
+        raise DimensionMismatch("warm-up steps must be an integer >= 0, got %r" % (warmup_steps,))
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
     previous = None
     noiter_cfg = StrategyConfig(kind="noiter")

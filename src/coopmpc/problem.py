@@ -18,11 +18,13 @@ class Problem:
     is [-u_max, u_max].  All controller entry points take this bundle plus
     a regrouped initial state.
 
-    The horizon operators of the local and the centralized problems and
-    the coupled-cost blocks (whose 2A is also the cooperative coupling)
-    depend only on these fields, so each is built on first use and kept;
-    a copy made with `dataclasses.replace` or `separable` starts without
-    them.  The fields are not meant to change after construction.
+    The regrouped dynamics are decoupled, so agent i's local problem is
+    the centralized one restricted to group i; one construction builds the
+    horizon operators of either.  Those operators and the coupled-cost
+    blocks (whose 2A is also the cooperative coupling) depend only on
+    these fields, so each is built on first use and kept; a copy made with
+    `dataclasses.replace` or `separable` starts without them.  The fields
+    are not meant to change after construction.
     """
 
     pmap: object
@@ -68,41 +70,39 @@ class Problem:
 
     def agent_operators(self, i):
         """HorizonOperators of agent i's local problem (built once)."""
-        key = ("agent", i)
-        if key not in self._operators:
-            tc = self.tcost
-            s = self.group_slices()[i]
-            self._operators[key] = HorizonOperators(
-                self.tplant.Abar[i],
-                self.tplant.Btilde[i],
-                tc.Qbar[s, s],
-                tc.Pbar[s, s],
-                tc.Rlocal[i],
-                self.N,
-                -self.u_max[i],
-                self.u_max[i],
-                terminal_balls=[(slice(0, self.pmap.bar_dims[i]), self.ingredients.ball_radius[i])],
-            )
-        return self._operators[key]
+        return self._horizon((i,))
 
     def centralized_operators(self):
         """HorizonOperators of the joint problem with the product of balls (built once)."""
-        if "centralized" not in self._operators:
-            tc = self.tcost
-            self._operators["centralized"] = HorizonOperators(
-                self.A_big,
-                self.B_big,
-                tc.Qbar,
-                tc.Pbar,
-                tc.Rglobal,
+        return self._horizon(tuple(range(self.M)))
+
+    def _horizon(self, agents):
+        """HorizonOperators of the joint problem restricted to `agents`' groups.
+
+        The regrouped dynamics are decoupled, so the restriction keeps those
+        agents' dynamics, input weights, boxes and balls, and the rows and
+        columns of Qbar and Pbar on their groups.
+        """
+        if agents not in self._operators:
+            tp, tc = self.tplant, self.tcost
+            slices = self.group_slices()
+            rows = np.r_[tuple(slices[i] for i in agents)]
+            ends = np.cumsum([self.pmap.bar_dims[i] for i in agents])
+            self._operators[agents] = HorizonOperators(
+                block_diag(*(tp.Abar[i] for i in agents)),
+                block_diag(*(tp.Btilde[i] for i in agents)),
+                tc.Qbar[np.ix_(rows, rows)],
+                tc.Pbar[np.ix_(rows, rows)],
+                block_diag(*(tc.Rlocal[i] for i in agents)),
                 self.N,
-                np.concatenate([-b for b in self.u_max]),
-                np.concatenate(list(self.u_max)),
+                np.concatenate([-self.u_max[i] for i in agents]),
+                np.concatenate([self.u_max[i] for i in agents]),
                 terminal_balls=[
-                    (s, self.ingredients.ball_radius[i]) for i, s in enumerate(self.group_slices())
+                    (slice(end - self.pmap.bar_dims[i], end), self.ingredients.ball_radius[i])
+                    for i, end in zip(agents, ends)
                 ],
             )
-        return self._operators["centralized"]
+        return self._operators[agents]
 
     def coupled_cost_blocks(self):
         """(A, B, C) of the coupled cost CC as a quadratic form (built once).
@@ -124,14 +124,6 @@ class Problem:
             self._operators["coupled_cost"] = blocks
         return self._operators["coupled_cost"]
 
-    @property
-    def A_big(self):
-        return block_diag(*self.tplant.Abar)
-
-    @property
-    def B_big(self):
-        return block_diag(*self.tplant.Btilde)
-
     def step(self, xbar, u0):
         """One plant step; u0 is the list of per-agent inputs, m_i entries each."""
         xbar = self.state(xbar)
@@ -143,9 +135,19 @@ class Problem:
             out[s] = self.tplant.Abar[i] @ xbar[s] + self.tplant.Btilde[i] @ ui
         return out
 
+    def plan(self, seqs):
+        """seqs, an InputSequenceSet; DimensionMismatch unless it holds N
+        stages of this problem's inputs."""
+        if tuple(seqs.m) != self.m or np.shape(seqs.stage) != (self.N, sum(self.m)):
+            raise DimensionMismatch(
+                "a plan needs stage shape %r and inputs %r" % ((self.N, sum(self.m)), self.m)
+            )
+        return seqs
+
     def simulate(self, xbar0, seqs):
         """Full-state trajectory (N+1 rows) under an InputSequenceSet."""
-        xbar0 = np.asarray(xbar0, dtype=float)
+        xbar0 = self.state(xbar0)
+        seqs = self.plan(seqs)
         traj = np.empty((self.N + 1, self.n))
         traj[0] = xbar0
         for i, (s, u_i) in enumerate(zip(self.group_slices(), seqs.u)):

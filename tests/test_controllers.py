@@ -13,6 +13,7 @@ from coopmpc import (
     SolverOptions,
     StrategyConfig,
     evaluate_cost,
+    global_cost,
     run_closed_loop,
     shift_sequences,
     solve_centralized,
@@ -265,7 +266,51 @@ class TestCooperative:
                 solve_cooperative(flagship, np.zeros(18), cfg, previous=previous)
 
 
+# (stage count, input counts) of a plan of the wrong layout, from (N, m)
+MALFORMED = {
+    "all_but_last_agent": lambda N, m: (N, m[:-1]),
+    "three_stages_more": lambda N, m: (N + 3, m),
+    "three_stages_fewer": lambda N, m: (N - 3, m),
+    "first_two_agents_merged": lambda N, m: (N, (m[0] + m[1],) + m[2:]),
+}
+
+
+def malformed_plan(problem, which):
+    stages, agents = MALFORMED[which](problem.N, problem.m)
+    return InputSequenceSet(np.ones((stages, sum(agents))), agents)
+
+
 class TestProblemInputs:
+    def test_simulate_rejects_wrong_state_length(self, flagship):
+        # a 1-entry state must not be broadcast over every state
+        seqs = InputSequenceSet(np.zeros((flagship.N, sum(flagship.m))), flagship.m)
+        with pytest.raises(DimensionMismatch):
+            flagship.simulate(np.ones(1), seqs)
+
+    @pytest.mark.parametrize("which", list(MALFORMED))
+    def test_simulate_rejects_malformed_plan(self, flagship, which):
+        with pytest.raises(DimensionMismatch):
+            flagship.simulate(np.ones(flagship.n), malformed_plan(flagship, which))
+
+    @pytest.mark.parametrize("which", list(MALFORMED))
+    def test_shift_rejects_malformed_plan(self, flagship, which):
+        with pytest.raises(DimensionMismatch):
+            shift_sequences(flagship, np.ones(flagship.n), malformed_plan(flagship, which))
+
+    @pytest.mark.parametrize("which", list(MALFORMED))
+    def test_cost_rejects_malformed_plan(self, flagship, which):
+        seqs = malformed_plan(flagship, which)
+        with pytest.raises(DimensionMismatch):
+            global_cost(flagship, np.ones(flagship.n), seqs)
+        with pytest.raises(DimensionMismatch):
+            evaluate_cost(flagship, np.ones(flagship.n), seqs)
+
+    def test_cooperative_rejects_previous_of_other_agents(self, flagship):
+        # the right stage shape, split among the wrong agents
+        previous = malformed_plan(flagship, "first_two_agents_merged")
+        with pytest.raises(DimensionMismatch):
+            solve_cooperative(flagship, np.ones(flagship.n), StrategyConfig(kind="coop", iters=1), previous=previous)
+
     def test_step_rejects_wrong_state_length(self, flagship):
         u0 = [np.zeros(mi) for mi in flagship.m]
         with pytest.raises(DimensionMismatch):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from coopmpc import (
     ClosedLoopTrace,
@@ -68,7 +69,8 @@ def two_channel_problem():
 def stage_sum_gc(problem, xbar0, seqs):
     """GC by simulating the joint dynamics and summing the stage costs."""
     tc = problem.tcost
-    return horizon_cost(problem.A_big, problem.B_big, tc.Qbar, tc.Pbar, tc.Rglobal, xbar0, seqs.stage.T)
+    A, B = block_diag(*problem.tplant.Abar), block_diag(*problem.tplant.Btilde)
+    return horizon_cost(A, B, tc.Qbar, tc.Pbar, tc.Rglobal, xbar0, seqs.stage.T)
 
 
 class TestCostAccounting:
@@ -91,13 +93,14 @@ class TestCostAccounting:
         rng = rng_factory(88)
         prob = {"flagship": flagship, "separable": flagship.separable()}.get(which) or random_certified_problem(rng)
         tc = prob.tcost
+        A, B = block_diag(*prob.tplant.Abar), block_diag(*prob.tplant.Btilde)
         u_max = np.concatenate(prob.u_max)
         # plans inside the input box, then up to three times outside it
         for scale in (1.0, 3.0):
             for _ in range(10):
                 xbar = rng.uniform(-8.0, 8.0, size=prob.n)
                 seqs = InputSequenceSet(scale * u_max * rng.uniform(-1.0, 1.0, size=(prob.N, len(u_max))), prob.m)
-                want = stage_sum_cc(prob.A_big, prob.B_big, tc.Qtilde, tc.Ptilde, xbar, seqs.stage.T)
+                want = stage_sum_cc(A, B, tc.Qtilde, tc.Ptilde, xbar, seqs.stage.T)
                 got = evaluate_cost(prob, xbar, seqs)[1]
                 assert abs(got - want) <= 1e-12 * abs(want)
                 if which == "separable":
@@ -265,12 +268,17 @@ class TestCompare:
         assert not xbar.any()
         assert [(r.gc, r.gc_loss, r.cc, r.cc_loss) for r in rows] == [(0.0, 0.0, 0.0, 0.0)] * 4
 
-    @pytest.mark.parametrize("iter_counts", [(0, 2), (7, -1)])
+    @pytest.mark.parametrize("iter_counts", [(0, 2), (7, -1), (1.5, 2), (True, 2)])
     def test_iteration_counts_below_one_rejected(self, flagship, iter_counts):
-        # a count below 1 has no cooperative iterate; it must not label
-        # another iterate's row
+        # a count below 1 has no cooperative iterate, and a float or a bool
+        # is not a count; neither may label another iterate's row
         with pytest.raises(DimensionMismatch):
             compare_strategies(flagship, np.ones(flagship.n), iter_counts=iter_counts, warmup_steps=1)
+
+    @pytest.mark.parametrize("warmup_steps", [-1, 2.5, True])
+    def test_warmup_steps_must_be_an_integer_from_zero(self, flagship, warmup_steps):
+        with pytest.raises(DimensionMismatch):
+            compare_strategies(flagship, np.ones(flagship.n), iter_counts=(1,), warmup_steps=warmup_steps)
 
     def test_csv_header(self, rng_factory):
         rng = rng_factory(83)

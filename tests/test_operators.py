@@ -99,8 +99,8 @@ def fresh_centralized(problem, xbar0):
     tc = problem.tcost
     balls = [(s, problem.ingredients.ball_radius[i]) for i, s in enumerate(problem.group_slices())]
     qp = build_condensed(
-        problem.A_big,
-        problem.B_big,
+        block_diag(*problem.tplant.Abar),
+        block_diag(*problem.tplant.Btilde),
         tc.Qbar,
         tc.Pbar,
         tc.Rglobal,
@@ -196,7 +196,7 @@ class TestCachedCondensation:
     def test_local_solves_leave_centralized_unbuilt(self, flagship, states):
         fresh = replace(flagship)
         solve_noiter_all(fresh, states[0])
-        assert set(fresh._operators) == {("agent", i) for i in range(fresh.M)}
+        assert set(fresh._operators) == {(i,) for i in range(fresh.M)}
 
 
 class TestCacheIsolation:
@@ -228,8 +228,9 @@ class TestCacheIsolation:
 
 
 def fresh_coupled_blocks(problem):
-    """(A, B, C) of the coupled cost from Phi and Gamma built anew by powers of A_big."""
-    A, B, tc, N = problem.A_big, problem.B_big, problem.tcost, problem.N
+    """(A, B, C) of the coupled cost from Phi and Gamma built anew by powers of the joint dynamics."""
+    A, B = block_diag(*problem.tplant.Abar), block_diag(*problem.tplant.Btilde)
+    tc, N = problem.tcost, problem.N
     powers = [np.linalg.matrix_power(A, k) for k in range(N + 1)]
     Phi = np.vstack(powers[1:])
     Gamma = np.block(
