@@ -165,32 +165,49 @@ def solve_noiter_all(problem, xbar0):
     """All local solves, each from the agent's own state alone; time
     accounted as the slowest agent.
 
+    One product with `Problem.noiter_law()` gives every agent's
+    unconstrained plan L xbar0 and terminal state K xbar0.  An agent whose
+    plan lies in its box and whose terminal state lies in its ball, with no
+    tolerance, has its optimum there: the exact check of `solve_qp`, one
+    iteration, with no QP condensed.  Only the other agents run
+    `solve_local_noiter`.  The shared product is charged to every agent's
+    time and each fallback solve to its own agent.
+
     Every agent is solved even when one fails, so the verdict does not
     depend on agent order: the SolverFailure raised is the most decisive
     one, an infeasible agent before a capped one, then the least
     terminal-ball margin.
     """
     xbar0 = problem.state(xbar0)
+    M, m = problem.M, problem.m
+    t0 = time.perf_counter()
+    L, K = problem.noiter_law()
+    stage = (L @ xbar0).reshape(problem.N, sum(m))
+    reach = K @ xbar0
+    # Written as "not inside" so that a NaN fails the check.
+    outside = ~(np.abs(stage) <= np.concatenate(problem.u_max)).all(axis=0)
+    box_misses = np.bincount(np.repeat(np.arange(M), m), weights=outside, minlength=M)
+    sq_norms = np.bincount(np.repeat(np.arange(M), problem.pmap.bar_dims), weights=reach * reach, minlength=M)
+    exact = (box_misses == 0) & (np.sqrt(sq_norms) <= problem.ingredients.ball_radius)
+    per_agent = np.full(M, 1e3 * (time.perf_counter() - t0))
+    iters = int(np.count_nonzero(exact))
     slices = problem.group_slices()
-    m = problem.m
-    stage = np.empty((problem.N, sum(m)))
-    per_agent = []
-    iters = 0
+    columns = _agent_columns(m)
     failures = []
-    for i, cols in enumerate(_agent_columns(m)):
+    for i in np.flatnonzero(~exact).tolist():
         try:
             u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]])
         except SolverFailure as exc:
             failures.append(exc)
             continue
-        stage[:, cols] = u_i.T
-        per_agent.append(info.millis)
+        stage[:, columns[i]] = u_i.T
+        per_agent[i] += info.millis
         iters += info.iterations
     if failures:
         raise min(failures, key=_decisiveness)
     return (
         InputSequenceSet(stage, m),
-        SolveInfo(millis=max(per_agent), iterations=iters, label="noiter"),
+        SolveInfo(millis=float(np.max(per_agent)), iterations=iters, label="noiter"),
     )
 
 

@@ -94,9 +94,18 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
     error message, status and least terminal-ball margin (None when the
     solve stopped before the certificate ran); the run aborts after three
     consecutive ones and the truncated trace is returned with
-    meta["aborted"] set.
+    meta["aborted"] set.  `steps` must be an integer of at least 0 and
+    every schedule start one of at least 0, the least of them 0, or
+    DimensionMismatch is raised before any solve.
     """
+    if not is_count(steps, 0):
+        raise DimensionMismatch("steps must be an integer >= 0, got %r" % (steps,))
     schedule = strategy if isinstance(strategy, list) else [(0, strategy)]
+    starts = [start for start, _ in schedule]
+    if not all(is_count(start, 0) for start in starts) or min(starts, default=None) != 0:
+        raise DimensionMismatch(
+            "a strategy schedule needs integer starts >= 0, the first at step 0, got %r" % (starts,)
+        )
     schedule = sorted(schedule, key=lambda sc: sc[0])
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
     trace = ClosedLoopTrace(steps=[], meta=dict(meta or {}))
@@ -322,14 +331,19 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
     certificate ran).  loss_mean and loss_worst are None when every draw
     is excluded.  Each loss compares the `global_cost` of the two plans,
     so no trajectory is simulated; where the centralized cost is 0 (a
-    draw at the origin) the loss is 0.0.
+    draw at the origin) the loss is 0.0.  `draws` and `seed` must be
+    integers of at least 0, or DimensionMismatch is raised before any draw.
     """
+    for name, value in (("draws", draws), ("seed", seed)):
+        if not is_count(value, 0):
+            raise DimensionMismatch("%s must be an integer >= 0, got %r" % (name, value))
+    draws, seed = int(draws), int(seed)
     lo, hi = float(bounds[0]), float(bounds[1])
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    X0 = lo + (hi - lo) * rng.random((int(draws), problem.n))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    X0 = lo + (hi - lo) * rng.random((draws, problem.n))
     losses = []
     excluded_draws = []
-    for d in range(int(draws)):
+    for d in range(draws):
         xbar = problem.pmap.to_regrouped(X0[d])
         try:
             seqs, _ = solve_strategy(problem, xbar, strategy)
@@ -341,8 +355,8 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
         losses.append(_loss(global_cost(problem, xbar, seqs), global_cost(problem, xbar, cen)))
     kept = [v for v in losses if v is not None]
     return MonteCarloReport(
-        draws=int(draws),
-        seed=int(seed),
+        draws=draws,
+        seed=seed,
         strategy=strategy.label(),
         bounds=(lo, hi),
         loss_mean=float(np.mean(kept)) if kept else None,

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve
 
 from .errors import DimensionMismatch
 from .qp import HorizonOperators, SolverOptions, state_cost_blocks
@@ -20,11 +20,11 @@ class Problem:
 
     The regrouped dynamics are decoupled, so agent i's local problem is
     the centralized one restricted to group i; one construction builds the
-    horizon operators of either.  Those operators and the coupled-cost
-    blocks (whose 2A is also the cooperative coupling) depend only on
-    these fields, so each is built on first use and kept; a copy made with
-    `dataclasses.replace` or `separable` starts without them.  The fields
-    are not meant to change after construction.
+    horizon operators of either.  Those operators, the coupled-cost blocks
+    (whose 2A is also the cooperative coupling) and the no-iteration law
+    depend only on these fields, so each is built on first use and kept; a
+    copy made with `dataclasses.replace` or `separable` starts without
+    them.  The fields are not meant to change after construction.
     """
 
     pmap: object
@@ -103,6 +103,36 @@ class Problem:
                 ],
             )
         return self._operators[agents]
+
+    def noiter_law(self):
+        """(L, K), every agent's unconstrained local plan as one linear map
+        of the state (built once).
+
+        Where no constraint is active agent i's local optimum is
+        -H_i^-1 g_x,i x_i0, from `agent_operators(i)`, so L xbar0 is the
+        stacked stage-major plan of all agents: L is (N*sum(m), n), with
+        agent i's block on its rows k*sum(m) + off_i + j and its group's
+        columns.  K xbar0 is every group's terminal state x_i(N) under that
+        plan, the residual of agent i's ball, with K block-diagonal.  Both
+        are exactly 0 off each agent's group: agent i's plan reads its own
+        state alone.  Built from the agents' operators only; read-only.
+        """
+        if "noiter_law" not in self._operators:
+            N, m, n = self.N, self.m, self.n
+            L = np.zeros((N, sum(m), n))
+            K = np.zeros((n, n))
+            ends = np.cumsum(m)
+            for i, s in enumerate(self.group_slices()):
+                ops = self.agent_operators(i)
+                L_i = -cho_solve((ops.H_chol, True), ops.g_x)
+                L[:, ends[i] - m[i] : ends[i], s] = L_i.reshape(N, m[i], -1)
+                # The agent's ball is its whole group at x(N).
+                K[s, s] = ops.tvec_x + ops.ball_map @ L_i
+            L = L.reshape(N * sum(m), n)
+            for b in (L, K):
+                b.setflags(write=False)
+            self._operators["noiter_law"] = (L, K)
+        return self._operators["noiter_law"]
 
     def coupled_cost_blocks(self):
         """(A, B, C) of the coupled cost CC as a quadratic form (built once).

@@ -144,7 +144,8 @@ class HorizonOperators:
     Built once from (A, B, Q, P, R, N, u_lo, u_hi, terminal_balls), with
     the meaning given in `build_condensed`.  Holds H, Phi, Gamma, the box,
     g_x with g = g_x x0, the map that gives const from x0, and for each
-    terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0.
+    terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0;
+    ball_map and tvec_x stack every ball's Tmap and Phi_N[rows].
     H_chol is the lower Cholesky factor of H (Fortran order, for dpotrs).
     Every array is read-only.  Raises NotPD when H has no Cholesky factor,
     which a positive definite R rules out, and DimensionMismatch when a
@@ -211,7 +212,7 @@ class HorizonOperators:
             radii.append(float(radius))
         rows = np.array(rows, dtype=int)
         self.ball_map = _frozen(Gamma[rows, :])
-        self._tvec_x = _frozen(Phi[rows, :])
+        self.tvec_x = _frozen(Phi[rows, :])
         self.balls = [(self.ball_map[part], radius, part) for part, radius in zip(parts, radii)]
         # What else the multiplier search needs of the balls: the 0/1
         # matrix E with E[i, b] = 1 where stacked row i belongs to ball b,
@@ -234,7 +235,7 @@ class HorizonOperators:
             raise DimensionMismatch("x0 must have length %d" % self.n)
         g = self.g_x @ x0
         const = float(x0 @ self._c_x @ x0)
-        tvec = self._tvec_x @ x0
+        tvec = self.tvec_x @ x0
         terminal = [TerminalBall(Tmap=Tmap, tvec=tvec[part], radius=r) for Tmap, r, part in self.balls]
         return CondensedQp(
             H=self.H, g=g, const=const, box_lo=self.box_lo, box_hi=self.box_hi, terminal=terminal, ops=self

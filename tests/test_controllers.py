@@ -12,6 +12,8 @@ from coopmpc import (
     SolverFailure,
     SolverOptions,
     StrategyConfig,
+    build_problem,
+    config_from_dict,
     evaluate_cost,
     global_cost,
     run_closed_loop,
@@ -26,7 +28,15 @@ from coopmpc import (
 from coopmpc import controllers
 from coopmpc.qp import INFEASIBLE, SOLVED, solve_qp
 
-from support import X0_EXP1, X0_EXP2, least_margin, noiter_verdicts, random_certified_problem, search_calls
+from support import (
+    X0_EXP1,
+    X0_EXP2,
+    least_margin,
+    noiter_verdicts,
+    random_certified_problem,
+    ring_network_description,
+    search_calls,
+)
 
 TIGHT = SolverOptions(eps_abs=1e-11)
 
@@ -98,6 +108,23 @@ class TestCentralized:
     def test_wrong_state_length(self, flagship):
         with pytest.raises(DimensionMismatch):
             solve_centralized(flagship, np.zeros(17))
+
+
+def agent_by_agent(problem, xbar):
+    """(stage, iterations, failures) of `solve_local_noiter` run for each
+    agent in turn, the no-iteration solve with no shared law."""
+    stage = np.empty((problem.N, sum(problem.m)))
+    iters, failures, end = 0, [], 0
+    for i, s in enumerate(problem.group_slices()):
+        end += problem.m[i]
+        try:
+            u_i, info = solve_local_noiter(problem, i, xbar[s])
+        except SolverFailure as exc:
+            failures.append(exc)
+            continue
+        stage[:, end - problem.m[i] : end] = u_i.T
+        iters += info.iterations
+    return stage, iters, failures
 
 
 class TestNoIteration:
@@ -178,6 +205,93 @@ class TestNoIteration:
         for a, b in zip(local.u, joint.u):
             assert np.max(np.abs(a - b)) <= 1e-6
 
+    @pytest.fixture(scope="class")
+    def problems(self, flagship):
+        ring = build_problem(config_from_dict(ring_network_description(8)))
+        return [flagship, ring] + [random_certified_problem(np.random.default_rng(seed)) for seed in range(3)]
+
+    def test_zero_off_each_group(self, problems):
+        # the partial-information pattern: agent i's plan and terminal
+        # state read group i's state alone
+        for problem in problems:
+            L, K = problem.noiter_law()
+            N, M, total = problem.N, problem.M, sum(problem.m)
+            assert L.shape == (N * total, problem.n) and K.shape == (problem.n, problem.n)
+            rows = np.repeat(np.arange(M), problem.m)
+            states = np.repeat(np.arange(M), problem.pmap.bar_dims)
+            assert not np.any(L.reshape(N, total, -1)[:, rows[:, None] != states[None, :]])
+            assert not np.any(K[states[:, None] != states[None, :]])
+
+    def test_matches_agent_by_agent(self, problems):
+        # scales from every agent exact to none, through some
+        for problem in problems:
+            rng = np.random.default_rng(91)
+            exact_counts = set()
+            for direction in rng.uniform(-1.0, 1.0, size=(2, problem.n)):
+                for scale in 0.1 * np.sqrt(2.0) ** np.arange(24):
+                    xbar = scale * direction
+                    stage, iters, failures = agent_by_agent(problem, xbar)
+                    exact_counts.add(sum(sol.iterations == 1 for sol, _, _ in noiter_verdicts(problem, xbar)))
+                    if failures:
+                        with pytest.raises(SolverFailure) as info:
+                            solve_noiter_all(problem, xbar)
+                        want = min(failures, key=controllers._decisiveness)
+                        got = info.value
+                        assert (got.status, got.solution.margin, str(got)) == (
+                            want.status, want.solution.margin, str(want)
+                        )
+                        continue
+                    seqs, info = solve_noiter_all(problem, xbar)
+                    assert info.iterations == iters
+                    assert np.max(np.abs(seqs.stage - stage)) <= 1e-12 * np.max(np.abs(stage))
+            assert {0, problem.M} <= exact_counts
+            assert any(0 < c < problem.M for c in exact_counts)
+
+    def test_agent_outside_its_ball_falls_back(self, flagship, monkeypatch):
+        # with a box that never binds, agent 0's unconstrained plan leaves
+        # its ball at a large enough state while the others stay at the origin
+        wide = replace(flagship, u_max=tuple(np.full_like(b, 1e6) for b in flagship.u_max))
+        s0 = wide.group_slices()[0]
+        xbar = np.zeros(wide.n)
+        xbar[s0] = 1.0
+        ops = wide.agent_operators(0)
+        for _ in range(60):
+            u = -np.linalg.solve(ops.H, ops.g_x @ xbar[s0])
+            if np.linalg.norm(ops.tvec_x @ xbar[s0] + ops.ball_map @ u) > wide.ingredients.ball_radius[0]:
+                break
+            xbar[s0] *= 2.0
+        else:
+            pytest.fail("agent 0's unconstrained plan never left its ball")
+        fallback = []
+
+        def recorded(problem, i, x_i0):
+            fallback.append(i)
+            return solve_local_noiter(problem, i, x_i0)
+
+        monkeypatch.setattr(controllers, "solve_local_noiter", recorded)
+        seqs, info = solve_noiter_all(wide, xbar)
+        assert fallback == [0]
+        stage, iters, _ = agent_by_agent(wide, xbar)
+        assert info.iterations == iters > wide.M
+        assert np.array_equal(seqs.stage[:, 1:], np.zeros((wide.N, wide.M - 1)))
+        assert np.max(np.abs(seqs.stage - stage)) <= 1e-12 * np.max(np.abs(stage))
+        u0 = seqs.u[0].T.reshape(-1)
+        assert np.linalg.norm(ops.tvec_x @ xbar[s0] + ops.ball_map @ u0) <= wide.ingredients.ball_radius[0]
+
+    def test_law_read_only_and_per_copy(self, flagship):
+        law = flagship.noiter_law()
+        assert flagship.noiter_law() is law
+        for a in law:
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        for copy in (flagship.separable(), replace(flagship)):
+            assert copy.noiter_law() is not law
+        # the law is local, so dropping the coupling leaves it as it was
+        for a, b in zip(flagship.separable().noiter_law(), law):
+            assert np.array_equal(a, b)
+        heavy = replace(flagship, tcost=replace(flagship.tcost, Pbar=2.0 * flagship.tcost.Pbar))
+        assert not np.array_equal(heavy.noiter_law()[0], law[0])
+
 
 class TestCooperative:
     def test_cost_nonincreasing(self, flagship):
@@ -240,7 +354,8 @@ class TestCooperative:
 
     def test_condenses_each_agent_once(self, flagship, monkeypatch):
         # from a given start only the coop subproblems condense; a cold
-        # start adds the no-iteration solve's M
+        # start adds the no-iteration solve's fallback agents, those the
+        # law does not settle
         calls = []
         condense = HorizonOperators.condense
 
@@ -251,11 +366,13 @@ class TestCooperative:
         monkeypatch.setattr(HorizonOperators, "condense", counted)
         xbar = flagship.pmap.to_regrouped(X0_EXP2)
         start, _ = solve_noiter_all(flagship, xbar)
-        for previous, expected in ((start, flagship.M), (None, 2 * flagship.M)):
+        fallback = [i for i, (sol, _, _) in enumerate(noiter_verdicts(flagship, xbar)) if sol.iterations > 1]
+        assert fallback and len(fallback) < flagship.M
+        agents = [flagship.agent_operators(i) for i in range(flagship.M)]
+        for previous, first in ((start, []), (None, [agents[i] for i in fallback])):
             calls.clear()
             solve_cooperative(flagship, xbar, StrategyConfig(kind="coop", iters=4), previous=previous)
-            assert len(calls) == expected
-            assert calls[-flagship.M :] == [flagship.agent_operators(i) for i in range(flagship.M)]
+            assert calls == first + agents
 
     def test_previous_of_wrong_stage_shape(self, flagship):
         cfg = StrategyConfig(kind="coop", iters=1)

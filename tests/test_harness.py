@@ -196,6 +196,26 @@ class TestClosedLoop:
         assert [f["error"] for f in trace.meta["failures"]] == [message] * 3
         assert [(f["status"], f["margin"]) for f in trace.meta["failures"]] == [(INFEASIBLE, verdicts[worst][2])] * 3
 
+    @pytest.mark.parametrize("steps", [-1, True, 2.5, "3"])
+    def test_steps_must_be_an_integer_from_zero(self, flagship, steps):
+        with pytest.raises(DimensionMismatch):
+            run_closed_loop(flagship, np.ones(flagship.n), StrategyConfig(kind="noiter"), steps=steps)
+
+    def test_zero_steps_give_an_empty_trace(self, flagship):
+        assert run_closed_loop(flagship, np.ones(flagship.n), StrategyConfig(kind="noiter"), steps=0).steps == []
+
+    @pytest.mark.parametrize("starts", [(2, 4), (0.0, 3), (0, -1), (True, 3), ()])
+    def test_schedule_must_start_at_step_zero(self, flagship, starts):
+        schedule = [(start, StrategyConfig(kind="noiter")) for start in starts]
+        with pytest.raises(DimensionMismatch):
+            run_closed_loop(flagship, np.ones(flagship.n), schedule, steps=3)
+
+    def test_schedule_in_any_order(self, flagship):
+        xbar0 = flagship.pmap.to_regrouped(X0_EXP1)
+        schedule = [(2, StrategyConfig(kind="coop", iters=1)), (0, StrategyConfig(kind="noiter"))]
+        trace = run_closed_loop(flagship, xbar0, schedule, steps=3)
+        assert [rec.strategy for rec in trace.steps] == ["noiter", "noiter", "coop_1"]
+
 
 class TestCsv:
     def test_flagship_column_layout(self, flagship):
@@ -365,6 +385,17 @@ class TestMonteCarlo:
         assert rep.excluded == 0
         assert rep.per_draw_losses == [0.0, 0.0, 0.0]
         assert (rep.loss_mean, rep.loss_worst) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("draws, seed", [(2.5, 20), (True, 20), (-1, 20), (2, 2.5), (2, -1), (2, None)])
+    def test_draws_and_seed_must_be_integers_from_zero(self, flagship, draws, seed):
+        with pytest.raises(DimensionMismatch):
+            monte_carlo(flagship, draws=draws, bounds=(-8.0, 8.0), strategy=StrategyConfig(kind="noiter"), seed=seed)
+
+    def test_integer_types_accepted(self, flagship):
+        cfg = StrategyConfig(kind="noiter")
+        rep = monte_carlo(flagship, draws=np.int64(2), bounds=(-1.0, 1.0), strategy=cfg, seed=np.int64(20))
+        assert (rep.draws, rep.seed) == (2, 20) and type(rep.draws) is int and type(rep.seed) is int
+        assert monte_carlo(flagship, draws=0, bounds=(-1.0, 1.0), strategy=cfg, seed=20).per_draw_losses == []
 
     def test_seed_changes_sample(self, rng_factory):
         rng = rng_factory(86)
