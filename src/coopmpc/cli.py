@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,19 +69,10 @@ def synthesis_report(problem):
         "lyapunov_residual": ing.lyapunov_residual,
         "terminal_weights": [_matrix(P) for P in problem.cost.P],
         "alpha": ing.alpha,
-        "decrease_global": {"holds": ing.prop1.holds, "margin": ing.prop1.margin},
-        "decrease_blocks": [{"holds": c.holds, "margin": c.margin} for c in ing.prop2],
+        "decrease_global": asdict(ing.prop1),
+        "decrease_blocks": [asdict(c) for c in ing.prop2],
         "diagonal_dominance": {"holds": ing.dd_holds, "slack": ing.dd_slack},
-        "ball_certificates": [
-            {
-                "radius": c.radius,
-                "sigma_max": c.sigma_max,
-                "ball_invariant": c.ball_invariant,
-                "input_margin": c.input_margin,
-                "input_admissible": c.input_admissible,
-            }
-            for c in ing.ball_certs
-        ],
+        "ball_certificates": [asdict(c) for c in ing.ball_certs],
         "certified": ing.certified(),
     }
 

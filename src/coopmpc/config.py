@@ -9,12 +9,13 @@ module, so decimals are read exactly as written regardless of locale.
 """
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from math import isfinite, prod
 
 import numpy as np
 
-from .errors import CoopMpcError, ConfigError, NotPD
+from .controllers import is_count
+from .errors import ConfigError, DimensionMismatch, NotPD
 from .linalg import check_pd
 from .plant import CostSpec, SubsystemBlocks, build_composite, build_permutation, transform_plant
 from .problem import Problem
@@ -58,12 +59,6 @@ class SimConfig:
 
 
 @dataclass
-class SolverConfig:
-    eps_abs: float = 1e-8
-    max_iters: int = 50000
-
-
-@dataclass
 class ProblemConfig:
     """In-memory model of a description file.
 
@@ -78,7 +73,7 @@ class ProblemConfig:
     input_box: list
     terminal_radius: object
     lqr: LqrConfig
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverOptions = field(default_factory=SolverOptions)
     sim: SimConfig = field(default_factory=SimConfig)
 
     def to_dict(self):
@@ -253,9 +248,10 @@ def config_from_dict(doc):
 
     solver_doc = doc.get("solver", {})
     _expect(isinstance(solver_doc, dict), "solver: expected an object")
-    solver = SolverConfig(
-        eps_abs=_number(solver_doc, "eps_abs", 1e-8, "solver"),
-        max_iters=_integer(solver_doc, "max_iters", 50000, "solver"),
+    solver_default = SolverOptions()
+    solver = SolverOptions(
+        eps_abs=_number(solver_doc, "eps_abs", solver_default.eps_abs, "solver"),
+        max_iters=_integer(solver_doc, "max_iters", solver_default.max_iters, "solver"),
     )
     _expect(solver.max_iters >= 1, "solver.max_iters: must be an integer >= 1")
     _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
@@ -267,7 +263,8 @@ def config_from_dict(doc):
         x0 is None or (isinstance(x0, list) and all(_is_number(v) for v in x0)),
         "sim.x0: expected a flat list of finite numbers",
     )
-    bounds = sim_doc.get("bounds", [-8.0, 8.0])
+    sim_default = SimConfig()
+    bounds = sim_doc.get("bounds", sim_default.bounds)
     _expect(
         isinstance(bounds, list)
         and len(bounds) == 2
@@ -275,21 +272,16 @@ def config_from_dict(doc):
         and bounds[0] <= bounds[1],
         "sim.bounds: expected two finite numbers [lo, hi] with lo <= hi",
     )
+    counts = {"steps": 1, "iters": 1, "seed": 0, "warmup_steps": 0, "draws": 1}
     sim = SimConfig(
-        steps=_integer(sim_doc, "steps", 60, "sim"),
-        strategy=str(sim_doc.get("strategy", "noiter")),
-        iters=_integer(sim_doc, "iters", 5, "sim"),
+        strategy=str(sim_doc.get("strategy", sim_default.strategy)),
         x0=x0,
-        seed=_integer(sim_doc, "seed", 0, "sim"),
         bounds=list(bounds),
-        warmup_steps=_integer(sim_doc, "warmup_steps", 3, "sim"),
-        draws=_integer(sim_doc, "draws", 200, "sim"),
+        **{key: _integer(sim_doc, key, getattr(sim_default, key), "sim") for key in counts},
     )
     _expect(sim.strategy in ("centralized", "noiter", "coop"), "sim.strategy: unknown strategy")
-    for key in ("steps", "iters", "draws"):
-        check_count("sim." + key, getattr(sim, key), 1)
-    check_count("sim.warmup_steps", sim.warmup_steps, 0)
-    check_count("sim.seed", sim.seed, 0)
+    for key, least in counts.items():
+        check_count("sim." + key, getattr(sim, key), least)
 
     return ProblemConfig(
         subsystems=sub,
@@ -422,10 +414,6 @@ def build_problem(cfg):
     ingredients, final_cost, tcost = synthesize(
         tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=gains
     )
-    solver = SolverOptions(
-        eps_abs=cfg.solver.eps_abs,
-        max_iters=cfg.solver.max_iters,
-    )
     return Problem(
         pmap=pmap,
         tplant=tplant,
@@ -434,7 +422,7 @@ def build_problem(cfg):
         ingredients=ingredients,
         u_max=u_max,
         N=cfg.horizon,
-        solver=solver,
+        solver=replace(cfg.solver),
     )
 
 
@@ -442,8 +430,11 @@ def initial_state(cfg, problem, seed=None):
     """Regrouped initial state from the sim section.
 
     Uses sim.x0 when present (original ordering), otherwise one uniform
-    draw from sim.bounds with the given or configured seed.
+    draw from sim.bounds with the given or configured seed.  A given seed
+    must be an integer of at least 0, or DimensionMismatch is raised.
     """
+    if seed is not None and not is_count(seed, 0):
+        raise DimensionMismatch("seed must be an integer >= 0, got %r" % (seed,))
     if cfg.sim.x0 is not None:
         x0 = np.asarray(cfg.sim.x0, dtype=float).reshape(-1)
         if x0.shape[0] != problem.n:

@@ -11,7 +11,7 @@ of `Problem.coupled_cost_blocks`.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,8 @@ def global_cost(problem, xbar0, seqs):
     stacked plan u: the stage costs over the horizon plus the terminal
     cost, with no trajectory simulated.
     """
-    return problem.centralized_operators().condense(xbar0).objective(problem.plan(seqs).stacked())
+    qp = problem.centralized_operators().condense(problem.state(xbar0))
+    return qp.objective(problem.plan(seqs).stacked())
 
 
 def evaluate_cost(problem, xbar0, seqs):
@@ -164,6 +165,18 @@ def replay_states(problem, trace, xbar0):
     return np.array(out)
 
 
+def _csv(header, rows):
+    """CSV text: the header row, then one line per row.
+
+    Floats (numpy's included) print as the repr of the Python float, the
+    shortest round trip, so equal values give byte-identical text; every
+    other cell prints as its str.
+    """
+    cell = lambda v: repr(float(v)) if isinstance(v, float) else str(v)
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def trace_to_csv(trace, include_timing=True):
     """Render a trace in the canonical column layout.
 
@@ -185,17 +198,11 @@ def trace_to_csv(trace, include_timing=True):
     header += ["GC", "CC", "iters"]
     if include_timing:
         header.append("millis")
-    lines = [",".join(header)]
+    rows = []
     for rec in trace.steps:
-        row = [str(rec.t)]
-        row += [repr(float(v)) for v in rec.xbar]
-        for ui in rec.u0:
-            row += [repr(float(v)) for v in ui]
-        row += [repr(float(rec.gc)), repr(float(rec.cc)), str(rec.iterations)]
-        if include_timing:
-            row.append(repr(float(rec.millis)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        row = [rec.t, *rec.xbar, *np.concatenate(rec.u0), rec.gc, rec.cc, rec.iterations]
+        rows.append(row + [rec.millis] if include_timing else row)
+    return _csv(header, rows)
 
 
 def timing_summary(trace):
@@ -210,12 +217,8 @@ def timing_summary(trace):
 
 
 def timing_summary_csv(rows):
-    lines = ["method,worst_case_s,average_s"]
-    for row in rows:
-        lines.append(
-            "%s,%s,%s" % (row["method"], repr(float(row["worst_case_s"])), repr(float(row["average_s"])))
-        )
-    return "\n".join(lines) + "\n"
+    header = ["method", "worst_case_s", "average_s"]
+    return _csv(header, [[row[key] for key in header] for row in rows])
 
 
 @dataclass
@@ -276,20 +279,10 @@ def compare_strategies(problem, xbar0, iter_counts=(1, 2, 3, 4, 5), warmup_steps
 
 
 def comparison_to_csv(rows):
-    lines = ["method,GC,GC_loss,CC,CC_loss"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.method,
-                    repr(float(row.gc)),
-                    repr(float(row.gc_loss)),
-                    repr(float(row.cc)),
-                    repr(float(row.cc_loss)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        ["method", "GC", "GC_loss", "CC", "CC_loss"],
+        [astuple(row) for row in rows],
+    )
 
 
 @dataclass(eq=False)
@@ -305,17 +298,7 @@ class MonteCarloReport:
     excluded_draws: list
 
     def to_dict(self):
-        return {
-            "draws": self.draws,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "bounds": list(self.bounds),
-            "loss_mean": self.loss_mean,
-            "loss_worst": self.loss_worst,
-            "excluded": self.excluded,
-            "per_draw_losses": self.per_draw_losses,
-            "excluded_draws": self.excluded_draws,
-        }
+        return dict(asdict(self), bounds=list(self.bounds))
 
 
 def monte_carlo(problem, draws, bounds, strategy, seed):

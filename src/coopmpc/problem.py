@@ -62,10 +62,11 @@ class Problem:
         return self.pmap.group_slices()
 
     def state(self, xbar):
-        """xbar as a float vector; DimensionMismatch unless it has n entries."""
+        """xbar as a float vector; DimensionMismatch unless it has n
+        entries, all finite."""
         xbar = np.asarray(xbar, dtype=float).reshape(-1)
-        if xbar.shape[0] != self.n:
-            raise DimensionMismatch("state must have length %d" % self.n)
+        if xbar.shape[0] != self.n or not np.isfinite(xbar).all():
+            raise DimensionMismatch("state must have %d finite entries" % self.n)
         return xbar
 
     def agent_operators(self, i):
@@ -155,11 +156,12 @@ class Problem:
         return self._operators["coupled_cost"]
 
     def step(self, xbar, u0):
-        """One plant step; u0 is the list of per-agent inputs, m_i entries each."""
+        """One plant step; u0 is the list of per-agent inputs, m_i finite
+        entries each."""
         xbar = self.state(xbar)
         u0 = [np.asarray(ui, dtype=float).reshape(-1) for ui in u0]
-        if tuple(map(len, u0)) != self.m:
-            raise DimensionMismatch("need one input per agent, of lengths %r" % (self.m,))
+        if tuple(map(len, u0)) != self.m or not np.isfinite(np.concatenate(u0)).all():
+            raise DimensionMismatch("need one finite input per agent, of lengths %r" % (self.m,))
         out = np.empty_like(xbar)
         for i, (s, ui) in enumerate(zip(self.group_slices(), u0)):
             out[s] = self.tplant.Abar[i] @ xbar[s] + self.tplant.Btilde[i] @ ui
@@ -167,10 +169,15 @@ class Problem:
 
     def plan(self, seqs):
         """seqs, an InputSequenceSet; DimensionMismatch unless it holds N
-        stages of this problem's inputs."""
-        if tuple(seqs.m) != self.m or np.shape(seqs.stage) != (self.N, sum(self.m)):
+        stages of this problem's inputs, all finite."""
+        if (
+            tuple(seqs.m) != self.m
+            or np.shape(seqs.stage) != (self.N, sum(self.m))
+            or not np.isfinite(seqs.stage).all()
+        ):
             raise DimensionMismatch(
-                "a plan needs stage shape %r and inputs %r" % ((self.N, sum(self.m)), self.m)
+                "a plan needs finite entries, stage shape %r and inputs %r"
+                % ((self.N, sum(self.m)), self.m)
             )
         return seqs
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from coopmpc import build_problem, example_config_path, initial_state, load_config
+from coopmpc import SolverOptions, build_problem, example_config_path, initial_state, load_config
 from coopmpc.cli import main
 from coopmpc.qp import INFEASIBLE
 
@@ -334,3 +334,60 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             run(["--version"])
         assert capsys.readouterr().out.startswith("coopmpc ")
+
+
+class TestArtifactFormats:
+    """Key order and CSV headers of every artifact on the shipped config.
+
+    The JSON records are written from their dataclasses, so a field that is
+    renamed or reordered changes an artifact and must fail here.
+    """
+
+    def artifacts(self, tmp_path, *commands):
+        for command in commands:
+            args = command.split()
+            cfg = str(example_config_path())
+            assert run([args[0], "--config", cfg, "--out-dir", str(tmp_path)] + args[1:]) == 0
+
+    def test_json_keys(self, tmp_path):
+        self.artifacts(tmp_path, "synthesize", "transform", "montecarlo --draws 20")
+        report = json.loads((tmp_path / "synthesis_report.json").read_text())
+        assert list(report) == [
+            "gains", "closed_loop_spectral_radii", "Phat", "lyapunov_residual", "terminal_weights", "alpha",
+            "decrease_global", "decrease_blocks", "diagonal_dominance", "ball_certificates", "certified",
+        ]
+        assert list(report["decrease_global"]) == ["holds", "margin"]
+        assert [list(c) for c in report["decrease_blocks"]] == [["holds", "margin"]] * 3
+        assert list(report["diagonal_dominance"]) == ["holds", "slack"]
+        ball = ["radius", "sigma_max", "ball_invariant", "input_margin", "input_admissible"]
+        assert [list(c) for c in report["ball_certificates"]] == [ball] * 3
+        mc = json.loads((tmp_path / "montecarlo.json").read_text())
+        assert list(mc) == [
+            "draws", "seed", "strategy", "bounds", "loss_mean", "loss_worst", "excluded",
+            "per_draw_losses", "excluded_draws",
+        ]
+        # the first 20 draws exclude draw 14 alone
+        assert [list(rec) for rec in mc["excluded_draws"]] == [["index", "status", "margin"]]
+        transform = json.loads((tmp_path / "transform.json").read_text())
+        assert list(transform) == [
+            "T", "bar_dims", "Abar", "Btilde", "Qbar", "Pbar", "Qtilde", "Ptilde", "orthogonal_round_trip",
+        ]
+
+    def test_csv_headers(self, tmp_path):
+        self.artifacts(tmp_path, "simulate --steps 2", "compare")
+        header = lambda name: (tmp_path / name).read_text().split("\n", 1)[0].split(",")
+        inputs = ["u_agent1", "u_agent2", "u_agent3"]
+        assert header("trace.csv") == ["t"] + ["xbar_%d" % k for k in range(18)] + inputs + ["GC", "CC", "iters", "millis"]
+        assert header("timing_summary.csv") == ["method", "worst_case_s", "average_s"]
+        assert header("compare.csv") == ["method", "GC", "GC_loss", "CC", "CC_loss"]
+
+    def test_solver_section_is_the_solve_record(self, flagship_cfg):
+        assert isinstance(flagship_cfg.solver, SolverOptions)
+        assert flagship_cfg.to_dict()["solver"] == {"eps_abs": 1e-08, "max_iters": 50000}
+        cfg = load_config(example_config_path())
+        problem = build_problem(cfg)
+        assert problem.solver is not cfg.solver and problem.solver == cfg.solver
+        cfg.solver.max_iters = 7
+        assert problem.solver.max_iters == 50000
+        problem.solver.eps_abs = 1e-3
+        assert cfg.solver.eps_abs == 1e-8

@@ -7,6 +7,7 @@ import pytest
 
 from coopmpc import (
     ConfigError,
+    DimensionMismatch,
     NotSchur,
     build_problem,
     config_from_dict,
@@ -413,3 +414,12 @@ class TestInitialState:
         lo, hi = cfg.sim.bounds
         orig = flagship.pmap.to_original(a)
         assert np.all(orig >= lo) and np.all(orig <= hi)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+    def test_seed_must_be_an_integer_at_least_0(self, flagship, seed):
+        # 2.5, True and "3" used to draw the states of seeds 2, 1 and 3
+        doc = flagship_dict()
+        del doc["sim"]["x0"]
+        cfg = config_from_dict(doc)
+        with pytest.raises(DimensionMismatch, match="seed must be an integer >= 0"):
+            initial_state(cfg, flagship, seed=seed)

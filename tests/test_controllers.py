@@ -392,6 +392,9 @@ MALFORMED = {
 }
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
 def malformed_plan(problem, which):
     stages, agents = MALFORMED[which](problem.N, problem.m)
     return InputSequenceSet(np.ones((stages, sum(agents))), agents)
@@ -447,6 +450,43 @@ class TestProblemInputs:
         for bad in (u0[:-1], u0 + [np.zeros(1)], long_last):
             with pytest.raises(DimensionMismatch):
                 flagship.step(np.ones(flagship.n), bad)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("kind", ["centralized", "noiter", "coop"])
+    def test_solves_reject_non_finite_state(self, flagship, kind, value):
+        # entry 7 lies in agent 1's group; a cold coop solve starts from noiter
+        xbar = np.ones(flagship.n)
+        xbar[7] = value
+        cfg = StrategyConfig(kind=kind, iters=1)
+        with pytest.raises(DimensionMismatch):
+            solve_strategy(flagship, xbar, cfg)
+        with pytest.raises(DimensionMismatch):
+            run_closed_loop(flagship, xbar, cfg, steps=3)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_cost_and_step_reject_non_finite_state(self, flagship, value):
+        xbar = np.ones(flagship.n)
+        xbar[7] = value
+        seqs = InputSequenceSet(np.zeros((flagship.N, sum(flagship.m))), flagship.m)
+        for cost in (global_cost, evaluate_cost):
+            with pytest.raises(DimensionMismatch):
+                cost(flagship, xbar, seqs)
+        with pytest.raises(DimensionMismatch):
+            flagship.step(xbar, [np.zeros(mi) for mi in flagship.m])
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_plan_or_input_rejected(self, flagship, value):
+        stage = np.zeros((flagship.N, sum(flagship.m)))
+        stage[2, 1] = value
+        plan = InputSequenceSet(stage, flagship.m)
+        xbar = np.ones(flagship.n)
+        with pytest.raises(DimensionMismatch):
+            solve_cooperative(flagship, xbar, StrategyConfig(kind="coop", iters=1), previous=plan)
+        for use in (global_cost, evaluate_cost, shift_sequences):
+            with pytest.raises(DimensionMismatch):
+                use(flagship, xbar, plan)
+        with pytest.raises(DimensionMismatch):
+            flagship.step(xbar, [ui[:, 2] for ui in plan.u])
 
 
 class TestDispatchAndShift:
