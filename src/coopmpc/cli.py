@@ -62,6 +62,7 @@ def synthesis_report(problem):
     ing = problem.ingredients
     from .linalg import spectral_radius
 
+    price, direction = problem.noiter_price()
     return {
         "gains": [_matrix(K) for K in ing.K],
         "closed_loop_spectral_radii": [float(spectral_radius(AK)) for AK in ing.AK],
@@ -74,6 +75,7 @@ def synthesis_report(problem):
         "diagonal_dominance": {"holds": ing.dd_holds, "slack": ing.dd_slack},
         "ball_certificates": [asdict(c) for c in ing.ball_certs],
         "certified": ing.certified(),
+        "noiter_price": {"loss": price, "worst_direction": direction.tolist()},
     }
 
 
@@ -101,6 +103,7 @@ def cmd_check(args, cfg):
             "agent %d: sigma_max %.4f invariant=%s admissible=%s"
             % (i + 1, cert.sigma_max, cert.ball_invariant, cert.input_admissible)
         )
+    print("noiter price: %.6g (worst relative GC loss where no constraint is active)" % problem.noiter_price()[0])
     if not ing.certified():
         raise SelectionFailed("decrease certificate does not hold")
     return 0

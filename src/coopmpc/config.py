@@ -249,12 +249,13 @@ def config_from_dict(doc):
     solver_doc = doc.get("solver", {})
     _expect(isinstance(solver_doc, dict), "solver: expected an object")
     solver_default = SolverOptions()
-    solver = SolverOptions(
-        eps_abs=_number(solver_doc, "eps_abs", solver_default.eps_abs, "solver"),
-        max_iters=_integer(solver_doc, "max_iters", solver_default.max_iters, "solver"),
-    )
-    _expect(solver.max_iters >= 1, "solver.max_iters: must be an integer >= 1")
-    _expect(solver.eps_abs > 0, "solver.eps_abs: must be positive")
+    try:
+        solver = SolverOptions(
+            eps_abs=_number(solver_doc, "eps_abs", solver_default.eps_abs, "solver"),
+            max_iters=_integer(solver_doc, "max_iters", solver_default.max_iters, "solver"),
+        )
+    except DimensionMismatch as exc:
+        raise ConfigError("solver.%s" % exc) from exc
 
     sim_doc = doc.get("sim", {})
     _expect(isinstance(sim_doc, dict), "sim: expected an object")

@@ -127,18 +127,46 @@ def _solved(qp, options, context):
     return sol
 
 
+def _law_step(problem, law, xbar0):
+    """The plan of an unconstrained law at xbar0, as an (N, sum(m)) stage,
+    and which agents it settles exactly.
+
+    `law` is (L, K), `Problem.noiter_law()` or `Problem.centralized_law()`.
+    Agent i is exact where its inputs of L xbar0 lie in its box and its
+    group's terminal state, rows of K xbar0, in its ball, with no
+    tolerance: the exact check of `solve_qp`.  Written as "not inside" so
+    that a NaN fails it.
+    """
+    L, K = law
+    u_max, columns, rows, radius = problem.law_check()
+    stage = (L @ xbar0).reshape(problem.N, -1)
+    reach = K @ xbar0
+    box_misses = ~(np.abs(stage) <= u_max).all(axis=0) @ columns
+    return stage, (box_misses == 0) & (np.sqrt((reach * reach) @ rows) <= radius)
+
+
 def solve_centralized(problem, xbar0):
     """Joint solve over all agents with the product-of-balls terminal set.
+
+    One product with `Problem.centralized_law()` gives the unconstrained
+    joint plan and every group's terminal state.  When every agent's
+    inputs lie in its box and its terminal state in its ball, with no
+    tolerance, that plan is the optimum: the exact check of `solve_qp`, one
+    iteration, with no QP condensed.  Otherwise the joint QP is condensed
+    and solved.  Time covers the product, check and any solve.
 
     Returns (InputSequenceSet, SolveInfo).
     """
     xbar0 = problem.state(xbar0)
     t0 = time.perf_counter()
-    qp = problem.centralized_operators().condense(xbar0)
-    sol = _solved(qp, problem.solver, "centralized solve")
+    stage, exact = _law_step(problem, problem.centralized_law(), xbar0)
+    iterations = 1
+    if not exact.all():
+        qp = problem.centralized_operators().condense(xbar0)
+        sol = _solved(qp, problem.solver, "centralized solve")
+        stage, iterations = sol.u_stack.reshape(stage.shape), sol.iterations
     millis = 1e3 * (time.perf_counter() - t0)
-    seqs = InputSequenceSet.from_stacked(sol.u_stack, problem.m, problem.N)
-    return seqs, SolveInfo(millis=millis, iterations=sol.iterations, label="centralized")
+    return InputSequenceSet(stage, problem.m), SolveInfo(millis=millis, iterations=iterations, label="centralized")
 
 
 def solve_local_noiter(problem, i, x_i0):
@@ -166,12 +194,14 @@ def solve_noiter_all(problem, xbar0):
     accounted as the slowest agent.
 
     One product with `Problem.noiter_law()` gives every agent's
-    unconstrained plan L xbar0 and terminal state K xbar0.  An agent whose
-    plan lies in its box and whose terminal state lies in its ball, with no
-    tolerance, has its optimum there: the exact check of `solve_qp`, one
-    iteration, with no QP condensed.  Only the other agents run
-    `solve_local_noiter`.  The shared product is charged to every agent's
-    time and each fallback solve to its own agent.
+    unconstrained plan L xbar0 and terminal state K xbar0, and the check
+    that `solve_centralized` runs on its own law tells which agents it
+    settles.  An agent whose plan lies in its box and whose terminal state
+    lies in its ball, with no tolerance, has its optimum there: the exact
+    check of `solve_qp`, one iteration, with no QP condensed.  When every
+    agent passes the solve returns at once; otherwise only the failing
+    agents run `solve_local_noiter`.  The shared product is charged to
+    every agent's time and each fallback solve to its own agent.
 
     Every agent is solved even when one fails, so the verdict does not
     depend on agent order: the SolverFailure raised is the most decisive
@@ -179,17 +209,13 @@ def solve_noiter_all(problem, xbar0):
     terminal-ball margin.
     """
     xbar0 = problem.state(xbar0)
-    M, m = problem.M, problem.m
     t0 = time.perf_counter()
-    L, K = problem.noiter_law()
-    stage = (L @ xbar0).reshape(problem.N, sum(m))
-    reach = K @ xbar0
-    # Written as "not inside" so that a NaN fails the check.
-    outside = ~(np.abs(stage) <= np.concatenate(problem.u_max)).all(axis=0)
-    box_misses = np.bincount(np.repeat(np.arange(M), m), weights=outside, minlength=M)
-    sq_norms = np.bincount(np.repeat(np.arange(M), problem.pmap.bar_dims), weights=reach * reach, minlength=M)
-    exact = (box_misses == 0) & (np.sqrt(sq_norms) <= problem.ingredients.ball_radius)
-    per_agent = np.full(M, 1e3 * (time.perf_counter() - t0))
+    stage, exact = _law_step(problem, problem.noiter_law(), xbar0)
+    shared = 1e3 * (time.perf_counter() - t0)
+    m = problem.m
+    if exact.all():
+        return InputSequenceSet(stage, m), SolveInfo(millis=shared, iterations=problem.M, label="noiter")
+    per_agent = np.full(problem.M, shared)
     iters = int(np.count_nonzero(exact))
     slices = problem.group_slices()
     columns = _agent_columns(m)

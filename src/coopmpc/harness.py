@@ -35,7 +35,12 @@ def global_cost(problem, xbar0, seqs):
     stacked plan u: the stage costs over the horizon plus the terminal
     cost, with no trajectory simulated.
     """
-    qp = problem.centralized_operators().condense(problem.state(xbar0))
+    return _global_cost(problem, problem.state(xbar0), seqs)
+
+
+def _global_cost(problem, xbar0, seqs):
+    """`global_cost` at a state `Problem.state` has already checked."""
+    qp = problem.centralized_operators().condense(xbar0)
     return qp.objective(problem.plan(seqs).stacked())
 
 
@@ -48,7 +53,7 @@ def evaluate_cost(problem, xbar0, seqs):
     cached `Problem.coupled_cost_blocks`, with no trajectory simulated.
     """
     xbar0 = problem.state(xbar0)
-    gc = global_cost(problem, xbar0, seqs)
+    gc = _global_cost(problem, xbar0, seqs)
     A, B, C = problem.coupled_cost_blocks()
     u = seqs.stacked()
     cc = float(u @ (A @ u) + 2.0 * (u @ (B @ xbar0)) + xbar0 @ (C @ xbar0))

@@ -4,9 +4,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve
+from scipy.linalg import LinAlgError, block_diag, eigh
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPD
 from .qp import HorizonOperators, SolverOptions, state_cost_blocks
 
 
@@ -21,10 +21,11 @@ class Problem:
     The regrouped dynamics are decoupled, so agent i's local problem is
     the centralized one restricted to group i; one construction builds the
     horizon operators of either.  Those operators, the coupled-cost blocks
-    (whose 2A is also the cooperative coupling) and the no-iteration law
-    depend only on these fields, so each is built on first use and kept; a
-    copy made with `dataclasses.replace` or `separable` starts without
-    them.  The fields are not meant to change after construction.
+    (whose 2A is also the cooperative coupling), the unconstrained laws and
+    the arrays of their exact check depend only on these fields, so each is
+    built on first use and kept; a copy made with `dataclasses.replace` or
+    `separable` starts without them.  The fields are not meant to change
+    after construction.
     """
 
     pmap: object
@@ -110,13 +111,14 @@ class Problem:
         of the state (built once).
 
         Where no constraint is active agent i's local optimum is
-        -H_i^-1 g_x,i x_i0, from `agent_operators(i)`, so L xbar0 is the
-        stacked stage-major plan of all agents: L is (N*sum(m), n), with
-        agent i's block on its rows k*sum(m) + off_i + j and its group's
-        columns.  K xbar0 is every group's terminal state x_i(N) under that
-        plan, the residual of agent i's ball, with K block-diagonal.  Both
-        are exactly 0 off each agent's group: agent i's plan reads its own
-        state alone.  Built from the agents' operators only; read-only.
+        -H_i^-1 g_x,i x_i0, the `unconstrained_law` of `agent_operators(i)`,
+        so L xbar0 is the stacked stage-major plan of all agents: L is
+        (N*sum(m), n), with agent i's block on its rows k*sum(m) + off_i + j
+        and its group's columns.  K xbar0 is every group's terminal state
+        x_i(N) under that plan, the residual of agent i's ball, with K
+        block-diagonal.  Both are exactly 0 off each agent's group: agent
+        i's plan reads its own state alone.  Built from the agents'
+        operators only; read-only.
         """
         if "noiter_law" not in self._operators:
             N, m, n = self.N, self.m, self.n
@@ -124,16 +126,66 @@ class Problem:
             K = np.zeros((n, n))
             ends = np.cumsum(m)
             for i, s in enumerate(self.group_slices()):
-                ops = self.agent_operators(i)
-                L_i = -cho_solve((ops.H_chol, True), ops.g_x)
+                L_i, K_i = self.agent_operators(i).unconstrained_law
                 L[:, ends[i] - m[i] : ends[i], s] = L_i.reshape(N, m[i], -1)
                 # The agent's ball is its whole group at x(N).
-                K[s, s] = ops.tvec_x + ops.ball_map @ L_i
+                K[s, s] = K_i
             L = L.reshape(N * sum(m), n)
             for b in (L, K):
                 b.setflags(write=False)
             self._operators["noiter_law"] = (L, K)
         return self._operators["noiter_law"]
+
+    def centralized_law(self):
+        """(L, K), the joint unconstrained plan and every group's terminal
+        state under it as linear maps of the state: the `unconstrained_law`
+        of `centralized_operators()`, in the layout of `noiter_law()`.
+        Read-only."""
+        return self.centralized_operators().unconstrained_law
+
+    def law_check(self):
+        """What the exact check of a law's plan reads (built once): the
+        stacked input bound of a stage, the 0/1 maps from the stacked
+        inputs and from the groups' states to the agents, and each agent's
+        ball radius.  Read-only."""
+        if "law_check" not in self._operators:
+            M = self.M
+            agents = np.eye(M)
+            arrays = (
+                np.concatenate(self.u_max),
+                np.repeat(agents, self.m, axis=0),
+                np.repeat(agents, self.pmap.bar_dims, axis=0),
+                np.asarray(self.ingredients.ball_radius, dtype=float),
+            )
+            for a in arrays:
+                a.setflags(write=False)
+            self._operators["law_check"] = arrays
+        return self._operators["law_check"]
+
+    def noiter_price(self):
+        """(lam, x): the worst relative global-cost loss of the no-iteration
+        plan against the centralized one where no constraint is active, and
+        the unit state direction that attains it.
+
+        There both plans are linear in the state, u_s = L_s x and u* = L_c x,
+        the firsts of `noiter_law()` and `centralized_law()`.  u* minimizes
+        GC, so GC(u_s) - GC(u*) = 0.5 x'D'HD x with D = L_s - L_c, and
+        GC(u*) = x'V x with V = c_x + 0.5 g_x'L_c; lam is the largest
+        eigenvalue of the pencil (0.5 D'HD, V).  It bounds the relative loss
+        at every state where every agent's local solve is exact, whatever
+        the centralized solve does: a constraint can only raise GC(u*).
+        Raises NotPD when V is not positive definite.
+        """
+        cent = self.centralized_operators()
+        L_c = self.centralized_law()[0]
+        D = self.noiter_law()[0] - L_c
+        V = cent.c_x + 0.5 * cent.g_x.T @ L_c
+        try:
+            lam, vec = eigh(0.5 * D.T @ cent.H @ D, 0.5 * (V + V.T), subset_by_index=[self.n - 1, self.n - 1])
+        except LinAlgError as exc:
+            raise NotPD("the optimal cost form V is not positive definite") from exc
+        x = vec[:, 0]
+        return float(lam[0]), x / np.linalg.norm(x)
 
     def coupled_cost_blocks(self):
         """(A, B, C) of the coupled cost CC as a quadratic form (built once).

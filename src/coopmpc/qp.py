@@ -65,10 +65,12 @@ when it fires, but an infeasible QP then ends as MAX_ITERS.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt
+from functools import cached_property
+from math import isfinite, sqrt
+from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dgesv, dposv, dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionMismatch, NotPD
@@ -143,13 +145,13 @@ class HorizonOperators:
 
     Built once from (A, B, Q, P, R, N, u_lo, u_hi, terminal_balls), with
     the meaning given in `build_condensed`.  Holds H, Phi, Gamma, the box,
-    g_x with g = g_x x0, the map that gives const from x0, and for each
+    g_x with g = g_x x0, c_x with const = x0'c_x x0, and for each
     terminal ball its Tmap and its rows of x(N), so tvec = Phi_N[rows] x0;
     ball_map and tvec_x stack every ball's Tmap and Phi_N[rows].
     H_chol is the lower Cholesky factor of H (Fortran order, for dpotrs).
-    Every array is read-only.  Raises NotPD when H has no Cholesky factor,
-    which a positive definite R rules out, and DimensionMismatch when a
-    bound is NaN or u_lo > u_hi.
+    `unconstrained_law` is built on first use.  Every array is read-only.
+    Raises NotPD when H has no Cholesky factor, which a positive definite R
+    rules out, and DimensionMismatch when a bound is NaN or u_lo > u_hi.
     """
 
     def __init__(self, A, B, Q, P, R, N, u_lo, u_hi, terminal_balls=None):
@@ -198,7 +200,7 @@ class HorizonOperators:
         self.box_hi = _frozen(np.tile(u_hi, N))
         # g = g_x x0 and const = x0^T c_x x0.
         self.g_x = _frozen(2.0 * GQP)
-        self._c_x = _frozen(0.5 * (c_x + c_x.T))
+        self.c_x = _frozen(0.5 * (c_x + c_x.T))
 
         # The balls' rows of x(N), stacked: ball_map holds their rows of
         # Gamma, and each ball's Tmap is its block of ball_map.
@@ -228,13 +230,26 @@ class HorizonOperators:
         )
         self.ball_zero = _frozen(np.zeros(len(parts)))
 
+    @cached_property
+    def unconstrained_law(self):
+        """(L, K): the unconstrained minimizer L x0 = -H^-1 g_x x0 and its
+        stacked ball residuals K x0 = tvec_x x0 + ball_map L x0, both linear
+        in the initial state (built on first use; read-only).
+
+        Where L x0 lies in the box and every ball lies within its radius,
+        it is the optimum, as in the exact check of `solve_qp`: the empty
+        active set of the explicit-MPC picture.
+        """
+        L = -cho_solve((self.H_chol, True), self.g_x)
+        return _frozen(L), _frozen(self.tvec_x + self.ball_map @ L)
+
     def condense(self, x0):
         """The CondensedQp at initial state x0."""
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         if x0.shape[0] != self.n:
             raise DimensionMismatch("x0 must have length %d" % self.n)
         g = self.g_x @ x0
-        const = float(x0 @ self._c_x @ x0)
+        const = float(x0 @ self.c_x @ x0)
         tvec = self.tvec_x @ x0
         terminal = [TerminalBall(Tmap=Tmap, tvec=tvec[part], radius=r) for Tmap, r, part in self.balls]
         return CondensedQp(
@@ -270,10 +285,20 @@ def build_condensed(A, B, Q, P, R, N, x0, u_lo, u_hi, terminal_balls=None):
 @dataclass
 class SolverOptions:
     """eps_abs bounds how far inside its radius the multiplier search may
-    leave a binding ball; max_iters caps the iterations of one solve."""
+    leave a binding ball; max_iters caps the iterations of one solve.
+
+    Raises DimensionMismatch unless max_iters is an integer (not a bool) of
+    at least 1 and eps_abs a finite number above 0.
+    """
 
     eps_abs: float = 1e-8
     max_iters: int = 50_000
+
+    def __post_init__(self):
+        if type(self.max_iters) is bool or not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise DimensionMismatch("max_iters: must be an integer >= 1, got %r" % (self.max_iters,))
+        if not (isinstance(self.eps_abs, Real) and isfinite(self.eps_abs) and self.eps_abs > 0):
+            raise DimensionMismatch("eps_abs: must be a finite number > 0, got %r" % (self.eps_abs,))
 
 
 @dataclass(eq=False)

@@ -65,6 +65,10 @@ class TestCheck:
         assert "decrease certificate: holds" in out
         for i in (1, 2, 3):
             assert "agent %d:" % i in out
+        (line,) = [line for line in out.splitlines() if line.startswith("noiter price: ")]
+        price = float(line.split()[2])
+        assert price == pytest.approx(build_problem(load_config(example_config_path())).noiter_price()[0], rel=1e-5)
+        assert 0.0 <= price < 1.0
 
     def test_aggressive_design_weights_fail(self, tmp_path, capsys):
         doc = flagship_dict()
@@ -355,7 +359,10 @@ class TestArtifactFormats:
         assert list(report) == [
             "gains", "closed_loop_spectral_radii", "Phat", "lyapunov_residual", "terminal_weights", "alpha",
             "decrease_global", "decrease_blocks", "diagonal_dominance", "ball_certificates", "certified",
+            "noiter_price",
         ]
+        assert list(report["noiter_price"]) == ["loss", "worst_direction"]
+        assert len(report["noiter_price"]["worst_direction"]) == 18
         assert list(report["decrease_global"]) == ["holds", "margin"]
         assert [list(c) for c in report["decrease_blocks"]] == [["holds", "margin"]] * 3
         assert list(report["diagonal_dominance"]) == ["holds", "slack"]

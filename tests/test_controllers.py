@@ -110,6 +110,134 @@ class TestCentralized:
             solve_centralized(flagship, np.zeros(17))
 
 
+class TestCentralizedLaw:
+    @pytest.fixture(scope="class")
+    def problems(self, flagship):
+        ring = build_problem(config_from_dict(ring_network_description(8)))
+        return [flagship, ring] + [random_certified_problem(np.random.default_rng(seed)) for seed in range(20)]
+
+    def test_matches_condensed_solve(self, problems):
+        # scales from exact to searched and infeasible: the law's plan, or
+        # the fallback, is the condensed solve's to 1e-12 in the same count
+        exact_seen = searched_seen = 0
+        for problem in problems:
+            rng = np.random.default_rng(92)
+            ops = problem.centralized_operators()
+            for direction in rng.uniform(-1.0, 1.0, size=(2, problem.n)):
+                for scale in 0.5 * 2.0 ** np.arange(8):
+                    xbar = scale * direction
+                    sol = solve_qp(ops.condense(xbar), options=problem.solver)
+                    if sol.status != SOLVED:
+                        with pytest.raises(SolverFailure) as info:
+                            solve_centralized(problem, xbar)
+                        assert (info.value.status, info.value.solution.margin) == (sol.status, sol.margin)
+                        continue
+                    seqs, info = solve_centralized(problem, xbar)
+                    assert info.iterations == sol.iterations
+                    ref = sol.u_stack
+                    assert np.max(np.abs(seqs.stacked() - ref)) <= 1e-12 * np.max(np.abs(ref))
+                    exact_seen += sol.iterations == 1
+                    searched_seen += sol.iterations > 1
+        assert exact_seen and searched_seen
+
+    @staticmethod
+    def wide_edge(flagship):
+        """A problem whose box never binds, a state direction, the scale at
+        which the first terminal ball is met by the unconstrained joint
+        plan, and that ball."""
+        wide = replace(flagship, u_max=tuple(np.full_like(b, 1e6) for b in flagship.u_max))
+        direction = wide.pmap.to_regrouped(X0_EXP1)
+        reach = wide.centralized_law()[1] @ direction
+        norms = np.array([np.linalg.norm(reach[s]) for s in wide.group_slices()])
+        scales = wide.ingredients.ball_radius / norms
+        return wide, direction, np.min(scales), int(np.argmin(scales))
+
+    def test_minimizer_just_outside_a_ball_falls_back(self, flagship, monkeypatch):
+        wide, direction, edge, b = self.wide_edge(flagship)
+        calls = []
+
+        def recorded(qp, options=None):
+            calls.append(qp)
+            return solve_qp(qp, options=options)
+
+        monkeypatch.setattr(controllers, "solve_qp", recorded)
+        inside, info = solve_centralized(wide, (1.0 - 1e-9) * edge * direction)
+        assert (calls, info.iterations) == ([], 1)
+        xbar = (1.0 + 1e-9) * edge * direction
+        seqs, info = solve_centralized(wide, xbar)
+        assert len(calls) == 1 and info.iterations > 1
+        ops = wide.centralized_operators()
+        terminal = (ops.tvec_x @ xbar + ops.ball_map @ seqs.stacked())[wide.group_slices()[b]]
+        radius = wide.ingredients.ball_radius[b]
+        assert radius - wide.solver.eps_abs <= np.linalg.norm(terminal) <= radius
+
+    def test_separable_law_is_the_noiter_law(self, flagship):
+        sep = flagship.separable()
+        for cen, local in zip(sep.centralized_law(), sep.noiter_law()):
+            assert np.max(np.abs(cen - local)) <= 1e-12 * np.max(np.abs(local))
+
+    def test_built_lazily_once_read_only_per_copy(self, flagship_cfg):
+        fresh = build_problem(flagship_cfg)
+        assert not any("unconstrained_law" in vars(ops) for ops in fresh._operators.values())
+        law = fresh.centralized_law()
+        assert fresh.centralized_law() is law
+        for a in law:
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        copy = replace(fresh)
+        assert copy.centralized_law() is not law
+        for a, b in zip(copy.centralized_law(), law):
+            assert np.array_equal(a, b)
+
+
+class TestNoiterPrice:
+    @pytest.fixture(scope="class")
+    def problems(self, flagship):
+        ring = build_problem(config_from_dict(ring_network_description(8)))
+        return [flagship, ring] + [random_certified_problem(np.random.default_rng(seed)) for seed in range(5)]
+
+    @staticmethod
+    def loss(problem, xbar):
+        """The measured relative GC loss of noiter, whether every noiter
+        agent's solve was exact, and whether the centralized one was."""
+        seqs, info = solve_noiter_all(problem, xbar)
+        cen, cen_info = solve_centralized(problem, xbar)
+        gc, gc_cen = global_cost(problem, xbar, seqs), global_cost(problem, xbar, cen)
+        return (gc - gc_cen) / gc_cen, info.iterations == problem.M, cen_info.iterations == 1
+
+    def test_about_zero_when_separable(self, flagship):
+        price, _ = flagship.separable().noiter_price()
+        assert abs(price) <= 1e-12
+
+    def test_attained_along_the_worst_direction(self, problems):
+        for problem in problems:
+            price, direction = problem.noiter_price()
+            assert 0.0 < price < 1.0 and np.isclose(np.linalg.norm(direction), 1.0)
+            for scale in (1e-3, 1e-2, 1e-1):
+                loss, exact, _ = self.loss(problem, scale * direction)
+                assert exact
+                assert abs(loss - price) <= 1e-9 * price
+
+    def test_bounds_every_all_exact_loss(self, problems):
+        # whatever the centralized solve does: a constraint there only
+        # raises the centralized cost
+        constrained = 0
+        for problem in problems:
+            price, _ = problem.noiter_price()
+            rng = np.random.default_rng(93)
+            seen = 0
+            for xbar in rng.uniform(-8.0, 8.0, size=(1000, problem.n)):
+                if not controllers._law_step(problem, problem.noiter_law(), xbar)[1].all():
+                    continue
+                loss, exact, cen_exact = self.loss(problem, xbar)
+                assert exact
+                assert loss <= price + 1e-9 * (1.0 + price)
+                seen += 1
+                constrained += not cen_exact
+            assert seen
+        assert constrained
+
+
 def agent_by_agent(problem, xbar):
     """(stage, iterations, failures) of `solve_local_noiter` run for each
     agent in turn, the no-iteration solve with no shared law."""

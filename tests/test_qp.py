@@ -101,6 +101,28 @@ class TestBuild:
             build_condensed(np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(2), [[1.0]], 2, [0.0, 0.0], lo, hi)
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"eps_abs": -1.0},
+            {"eps_abs": float("nan")},
+            {"eps_abs": float("inf")},
+            {"eps_abs": 0.0},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"max_iters": 0},
+        ],
+    )
+    def test_rejects_a_setting_that_could_not_give_a_right_verdict(self, setting):
+        with pytest.raises(DimensionMismatch, match=next(iter(setting))):
+            SolverOptions(**setting)
+
+    def test_accepts_the_least_settings(self):
+        opts = SolverOptions(eps_abs=1e-300, max_iters=np.int64(1))
+        assert (opts.eps_abs, opts.max_iters) == (1e-300, 1)
+
+
 class TestSolve:
     def test_shifted_parabola_interior(self):
         # min (u - 1)^2 over [-4, 4]
