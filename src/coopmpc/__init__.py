@@ -98,8 +98,8 @@ from .config import (
 )
 
 
-def example_config_path(name="academic3.cfg"):
-    """Path of a configuration file shipped with the package."""
+def example_config_path():
+    """Path of the configuration file shipped with the package."""
     import importlib.resources as resources
 
-    return str(resources.files(__name__).joinpath("data", name))
+    return str(resources.files(__name__).joinpath("data", "academic3.cfg"))

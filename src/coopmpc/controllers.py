@@ -2,11 +2,14 @@
 
 The regrouped dynamics are decoupled across agents, so the centralized
 problem couples agents only through the cost.  The no-iteration strategy
-drops the coupling weights and solves M independent local problems.  The
-cooperative strategy iterates: each agent minimizes the full cooperative
-cost over its own sequence with the others frozen, and the new iterate is
-the convex combination of the agents' candidate points, which keeps the
-cooperative cost nonincreasing and every iterate feasible.
+drops the coupling weights and solves M independent local problems, so
+the two are one settle path over two partitions of the agents
+(`_settle`).  The cooperative strategy iterates: each agent minimizes the
+full cooperative cost over its own sequence with the others frozen, and
+the new iterate is the convex combination of the agents' candidate
+points, which keeps the cooperative cost nonincreasing and every iterate
+feasible.  All three raise the most decisive failure of all their parts
+or agents (`_decisiveness`), so a verdict does not depend on agent order.
 
 In condensed form the cooperative cost is the centralized QP and the
 iteration a Jacobi sweep on it.  Agent i's subproblem keeps its own
@@ -145,42 +148,13 @@ def _law_step(problem, law, xbar0):
     return stage, (box_misses == 0) & (np.sqrt((reach * reach) @ rows) <= radius)
 
 
-def solve_centralized(problem, xbar0):
-    """Joint solve over all agents with the product-of-balls terminal set.
-
-    One product with `Problem.centralized_law()` gives the unconstrained
-    joint plan and every group's terminal state.  When every agent's
-    inputs lie in its box and its terminal state in its ball, with no
-    tolerance, that plan is the optimum: the exact check of `solve_qp`, one
-    iteration, with no QP condensed.  Otherwise the joint QP is condensed
-    and solved.  Time covers the product, check and any solve.
-
-    Returns (InputSequenceSet, SolveInfo).
-    """
-    xbar0 = problem.state(xbar0)
+def _solve_part(problem, agents, x0, context):
+    """Condense and solve `Problem._horizon(agents)` at x0, the state of
+    the agents' groups: (stage, iterations, millis), stage the (N, inputs
+    of `agents`) optimum.  SolverFailure naming `context` unless solved."""
     t0 = time.perf_counter()
-    stage, exact = _law_step(problem, problem.centralized_law(), xbar0)
-    iterations = 1
-    if not exact.all():
-        qp = problem.centralized_operators().condense(xbar0)
-        sol = _solved(qp, problem.solver, "centralized solve")
-        stage, iterations = sol.u_stack.reshape(stage.shape), sol.iterations
-    millis = 1e3 * (time.perf_counter() - t0)
-    return InputSequenceSet(stage, problem.m), SolveInfo(millis=millis, iterations=iterations, label="centralized")
-
-
-def solve_local_noiter(problem, i, x_i0):
-    """Agent-i solve using only its own block data; no coupling terms.
-
-    Returns (u_i of shape (m_i, N), SolveInfo).  The result depends only
-    on agent i's state and data, never on the other agents.
-    """
-    t0 = time.perf_counter()
-    qp = problem.agent_operators(i).condense(x_i0)
-    sol = _solved(qp, problem.solver, "local solve of agent %d" % i)
-    millis = 1e3 * (time.perf_counter() - t0)
-    u_i = sol.u_stack.reshape(problem.N, problem.m[i]).T
-    return u_i, SolveInfo(millis=millis, iterations=sol.iterations, label="noiter")
+    sol = _solved(problem._horizon(agents).condense(x0), problem.solver, context)
+    return sol.u_stack.reshape(problem.N, -1), sol.iterations, 1e3 * (time.perf_counter() - t0)
 
 
 def _decisiveness(failure):
@@ -189,52 +163,70 @@ def _decisiveness(failure):
     return (failure.status != INFEASIBLE, np.inf if margin is None else margin)
 
 
-def solve_noiter_all(problem, xbar0):
-    """All local solves, each from the agent's own state alone; time
-    accounted as the slowest agent.
+def _span(slices, part):
+    """One slice over the blocks of a part's consecutive agents."""
+    return slice(slices[part[0]].start, slices[part[-1]].stop)
 
-    One product with `Problem.noiter_law()` gives every agent's
-    unconstrained plan L xbar0 and terminal state K xbar0, and the check
-    that `solve_centralized` runs on its own law tells which agents it
-    settles.  An agent whose plan lies in its box and whose terminal state
-    lies in its ball, with no tolerance, has its optimum there: the exact
-    check of `solve_qp`, one iteration, with no QP condensed.  When every
-    agent passes the solve returns at once; otherwise only the failing
-    agents run `solve_local_noiter`.  The shared product is charged to
-    every agent's time and each fallback solve to its own agent.
 
-    Every agent is solved even when one fails, so the verdict does not
-    depend on agent order: the SolverFailure raised is the most decisive
-    one, an infeasible agent before a capped one, then the least
-    terminal-ball margin.
+def _settle(problem, xbar0, joint):
+    """The centralized (`joint`) or no-iteration solve at xbar0: one
+    horizon problem, `Problem._horizon(part)`, per part of a partition of
+    the agents, all in one part or each alone.  One product with the
+    partition's law settles each part whose agents all pass `_law_step`'s
+    exact check, in one iteration with no QP condensed; every other part
+    is condensed and solved at its groups' state.  The shared product is
+    charged to every part and each fallback to its own; millis is the
+    slowest part's.  Every part is tried before the most decisive failure
+    is raised.
     """
     xbar0 = problem.state(xbar0)
     t0 = time.perf_counter()
-    stage, exact = _law_step(problem, problem.noiter_law(), xbar0)
+    stage, exact = _law_step(problem, problem.centralized_law() if joint else problem.noiter_law(), xbar0)
     shared = 1e3 * (time.perf_counter() - t0)
-    m = problem.m
+    label = "centralized" if joint else "noiter"
     if exact.all():
-        return InputSequenceSet(stage, m), SolveInfo(millis=shared, iterations=problem.M, label="noiter")
-    per_agent = np.full(problem.M, shared)
-    iters = int(np.count_nonzero(exact))
-    slices = problem.group_slices()
-    columns = _agent_columns(m)
-    failures = []
-    for i in np.flatnonzero(~exact).tolist():
+        return InputSequenceSet(stage, problem.m), SolveInfo(millis=shared, iterations=1 if joint else problem.M, label=label)
+    agents = tuple(range(problem.M))
+    slices, columns, exact = problem.group_slices(), _agent_columns(problem.m), exact.tolist()
+    millis, iterations, failures = [shared], 0, []
+    for part in [agents] if joint else [(i,) for i in agents]:
+        if all(exact[i] for i in part):
+            iterations += 1
+            continue
+        context = "centralized solve" if joint else "local solve of agent %d" % part[0]
         try:
-            u_i, info = solve_local_noiter(problem, i, xbar0[slices[i]])
+            plan, its, ms = _solve_part(problem, part, xbar0[_span(slices, part)], context)
         except SolverFailure as exc:
             failures.append(exc)
             continue
-        stage[:, columns[i]] = u_i.T
-        per_agent[i] += info.millis
-        iters += info.iterations
+        stage[:, _span(columns, part)] = plan
+        millis.append(shared + ms)
+        iterations += its
     if failures:
         raise min(failures, key=_decisiveness)
-    return (
-        InputSequenceSet(stage, m),
-        SolveInfo(millis=float(np.max(per_agent)), iterations=iters, label="noiter"),
-    )
+    return InputSequenceSet(stage, problem.m), SolveInfo(millis=max(millis), iterations=iterations, label=label)
+
+
+def solve_centralized(problem, xbar0):
+    """Joint solve over all agents with the product-of-balls terminal set,
+    `_settle` with all agents in one part: (InputSequenceSet, SolveInfo)."""
+    return _settle(problem, xbar0, joint=True)
+
+
+def solve_local_noiter(problem, i, x_i0):
+    """Agent-i solve using only its own block data; no coupling terms.
+
+    Returns (u_i of shape (m_i, N), SolveInfo).  The result depends only
+    on agent i's state and data, never on the other agents.
+    """
+    stage, iterations, millis = _solve_part(problem, (i,), x_i0, "local solve of agent %d" % i)
+    return stage.T, SolveInfo(millis=millis, iterations=iterations, label="noiter")
+
+
+def solve_noiter_all(problem, xbar0):
+    """All local solves, each from the agent's own state alone, time
+    accounted as the slowest agent: `_settle` with each agent alone."""
+    return _settle(problem, xbar0, joint=False)
 
 
 def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
@@ -250,7 +242,7 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
     `previous`, with stage shape (N, sum(m)), is the starting iterate;
     when absent the no-iteration plan is used.  Time is the maximum over
     agents of their summed solve times, shared products charged to every
-    agent.
+    agent.  Every agent of an iteration is solved before a failure is raised.
 
     Returns (InputSequenceSet, SolveInfo) or, with keep_history, the
     history of iterates as a third element.
@@ -289,13 +281,20 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
         g = (g0 + 2.0 * (A @ iterate.stacked())).reshape(iterate.stage.shape)
         per_agent += 1e3 * (time.perf_counter() - t0)
         candidates = np.empty_like(iterate.stage)
+        failures = []
         for i, (qp, cols) in enumerate(zip(qps, columns)):
             t0 = time.perf_counter()
             qp.g = g[:, cols].reshape(-1)
-            sol = _solved(qp, problem.solver, "cooperative solve of agent %d" % i)
+            try:
+                sol = _solved(qp, problem.solver, "cooperative solve of agent %d" % i)
+            except SolverFailure as exc:
+                failures.append(exc)
+                continue
             per_agent[i] += 1e3 * (time.perf_counter() - t0)
             iters += sol.iterations
             candidates[:, cols] = sol.u_stack.reshape(problem.N, m[i])
+        if failures:
+            raise min(failures, key=_decisiveness)
         # A new array each iteration, so the history needs no copies.
         iterate = InputSequenceSet(
             column_weights * candidates + (1.0 - column_weights) * iterate.stage, m

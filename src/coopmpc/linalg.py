@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPD, NotPSD
 
-# Default tolerances for the definiteness checks.
+# Tolerances of the definiteness checks.
 PSD_TOL = 1e-9
 PD_TRACE_TOL = 1e-12
 
@@ -39,19 +39,19 @@ def spectral_norm(X):
     return float(np.linalg.norm(np.asarray(X, dtype=float), 2))
 
 
-def check_psd(X, name="matrix", tol=PSD_TOL):
-    """Raise NotPSD unless min eig of the symmetric part is >= -tol."""
+def check_psd(X, name="matrix"):
+    """Raise NotPSD unless min eig of the symmetric part is >= -PSD_TOL."""
     lam = min_eigenvalue(X)
-    if lam < -tol:
-        raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (name, lam, tol))
+    if lam < -PSD_TOL:
+        raise NotPSD("%s has eigenvalue %.3e below -%.1e" % (name, lam, PSD_TOL))
 
 
-def check_pd(X, name="matrix", trace_tol=PD_TRACE_TOL):
-    """Raise NotPD unless min eig >= trace_tol * trace (and trace > 0)."""
+def check_pd(X, name="matrix"):
+    """Raise NotPD unless min eig >= PD_TRACE_TOL * trace (and trace > 0)."""
     X = require_square(X, name)
     lam = min_eigenvalue(X)
     tr = float(np.trace(X))
-    if tr <= 0.0 or lam < trace_tol * tr:
+    if tr <= 0.0 or lam < PD_TRACE_TOL * tr:
         raise NotPD("%s is not positive definite (min eig %.3e, trace %.3e)" % (name, lam, tr))
 
 

@@ -289,7 +289,6 @@ class TransformedCost:
     Qtilde: np.ndarray
     Ptilde: np.ndarray
     Rlocal: tuple
-    bar_dims: tuple
 
 
 def build_permutation(dims):
@@ -388,7 +387,6 @@ def transform_cost(cost, pmap):
         Qtilde=Qtilde,
         Ptilde=Ptilde,
         Rlocal=Rlocal,
-        bar_dims=pmap.bar_dims,
     )
 
 

@@ -39,6 +39,7 @@ RESIDUAL_TOL = 1e-8
 RICCATI_STEP_TOL = 1e-14
 RICCATI_MAX_STEPS = 64
 CERT_TOL = 1e-9
+BALL_TOL = 1e-10  # slack of the ball certificate's invariance and input checks
 # Scaling sweep for the terminal weight selection: 1, 1.5, 2, 3, 5, 10, ...
 ALPHA_MANTISSAS = (1.0, 1.5, 2.0, 3.0, 5.0)
 ALPHA_MAX = 1e6
@@ -203,12 +204,13 @@ class BallCertificate:
     input_admissible: bool
 
 
-def verify_ball_terminal(AK, K, radius, u_max, tol=1e-10):
+def verify_ball_terminal(AK, K, radius, u_max):
     """Certify a Euclidean ball of given radius as a terminal set.
 
     The ball is invariant under xbar+ = AK xbar iff the largest singular
     value of AK is at most one.  The terminal controller is admissible if
     every gain row satisfies ||row||_2 * radius <= u_max for its channel.
+    Both hold up to BALL_TOL.
     """
     AK = np.asarray(AK, dtype=float)
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -219,9 +221,9 @@ def verify_ball_terminal(AK, K, radius, u_max, tol=1e-10):
     return BallCertificate(
         radius=float(radius),
         sigma_max=sigma,
-        ball_invariant=bool(sigma <= 1.0 + tol),
+        ball_invariant=bool(sigma <= 1.0 + BALL_TOL),
         input_margin=float(np.min(margins)),
-        input_admissible=bool(np.all(margins >= -tol)),
+        input_admissible=bool(np.all(margins >= -BALL_TOL)),
     )
 
 
@@ -231,11 +233,11 @@ class CertCheck:
     margin: float
 
 
-def check_prop1(Pbar, Phat, AK_global, tol=CERT_TOL):
+def check_prop1(Pbar, Phat, AK_global):
     """Global decrease certificate for the block terminal weight.
 
     With Delta = Pbar - Phat, requires Delta - AK^T Delta AK to be
-    positive semidefinite up to tol * (1 + ||Delta||_2).
+    positive semidefinite up to CERT_TOL * (1 + ||Delta||_2).
     """
     Pbar = require_square(Pbar, "Pbar")
     Phat = require_square(Phat, "Phat")
@@ -245,11 +247,11 @@ def check_prop1(Pbar, Phat, AK_global, tol=CERT_TOL):
     Delta = symmetrize(Pbar - Phat)
     S = symmetrize(Delta - AK_global.T @ Delta @ AK_global)
     margin = min_eigenvalue(S)
-    holds = margin >= -tol * (1.0 + spectral_norm(Delta))
+    holds = margin >= -CERT_TOL * (1.0 + spectral_norm(Delta))
     return CertCheck(holds=bool(holds), margin=margin)
 
 
-def check_prop2_blocks(Pbar, Phat, AK_list, bar_dims, tol=CERT_TOL):
+def check_prop2_blocks(Pbar, Phat, AK_list, bar_dims):
     """Per-group decrease certificates on the diagonal blocks of Delta."""
     Delta = symmetrize(np.asarray(Pbar, dtype=float) - np.asarray(Phat, dtype=float))
     out = []
@@ -257,7 +259,7 @@ def check_prop2_blocks(Pbar, Phat, AK_list, bar_dims, tol=CERT_TOL):
         Dii = Delta[s, s]
         Si = symmetrize(Dii - AKi.T @ Dii @ AKi)
         margin = min_eigenvalue(Si)
-        holds = margin >= -tol * (1.0 + spectral_norm(Dii))
+        holds = margin >= -CERT_TOL * (1.0 + spectral_norm(Dii))
         out.append(CertCheck(holds=bool(holds), margin=margin))
     return out
 

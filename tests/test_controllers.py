@@ -392,13 +392,13 @@ class TestNoIteration:
             pytest.fail("agent 0's unconstrained plan never left its ball")
         fallback = []
 
-        def recorded(problem, i, x_i0):
-            fallback.append(i)
-            return solve_local_noiter(problem, i, x_i0)
+        def recorded(qp, options=None):
+            fallback.append(qp)
+            return solve_qp(qp, options=options)
 
-        monkeypatch.setattr(controllers, "solve_local_noiter", recorded)
+        monkeypatch.setattr(controllers, "solve_qp", recorded)
         seqs, info = solve_noiter_all(wide, xbar)
-        assert fallback == [0]
+        assert len(fallback) == 1 and fallback[0].ops is ops
         stage, iters, _ = agent_by_agent(wide, xbar)
         assert info.iterations == iters > wide.M
         assert np.array_equal(seqs.stage[:, 1:], np.zeros((wide.N, wide.M - 1)))
@@ -501,6 +501,26 @@ class TestCooperative:
             calls.clear()
             solve_cooperative(flagship, xbar, StrategyConfig(kind="coop", iters=4), previous=previous)
             assert calls == first + agents
+
+    def test_failure_is_the_most_decisive_agent(self, flagship):
+        # 1.5 x the regrouped seed-20 Monte Carlo draw 8: agents 1 and 2
+        # both fail, agent 1 first in index order, agent 2 further from its
+        # ball.  Every agent of the iteration is solved before the raise,
+        # so coop names agent 2 with the no-iteration verdict.
+        X0 = -8.0 + 16.0 * np.random.Generator(np.random.PCG64(20)).random((200, flagship.n))
+        xbar = 1.5 * flagship.pmap.to_regrouped(X0[8])
+        failed = [i for i, (sol, _, _) in enumerate(noiter_verdicts(flagship, xbar)) if sol.status != SOLVED]
+        assert failed == [1, 2]
+        with pytest.raises(SolverFailure) as noiter:
+            solve_noiter_all(flagship, xbar)
+        zero = InputSequenceSet(np.zeros((flagship.N, sum(flagship.m))), flagship.m)
+        with pytest.raises(SolverFailure) as coop:
+            solve_cooperative(flagship, xbar, StrategyConfig(kind="coop", iters=5), previous=zero)
+        assert str(coop.value).startswith("cooperative solve of agent 2 ")
+        assert (coop.value.status, coop.value.solution.margin) == (
+            noiter.value.status, noiter.value.solution.margin
+        )
+        assert noiter.value.status == INFEASIBLE and str(noiter.value).startswith("local solve of agent 2 ")
 
     def test_previous_of_wrong_stage_shape(self, flagship):
         cfg = StrategyConfig(kind="coop", iters=1)
