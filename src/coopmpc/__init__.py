@@ -78,7 +78,6 @@ from .harness import (
     StepRecord,
     compare_strategies,
     comparison_to_csv,
-    config_digest,
     evaluate_cost,
     global_cost,
     monte_carlo,

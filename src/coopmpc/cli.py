@@ -27,7 +27,6 @@ from .errors import (
 from .harness import (
     compare_strategies,
     comparison_to_csv,
-    config_digest,
     monte_carlo,
     run_closed_loop,
     timing_summary,
@@ -146,9 +145,7 @@ def cmd_simulate(args, cfg):
     xbar0 = initial_state(cfg, problem, seed=args.seed)
     strategy = _strategy_from_args(args, cfg)
     steps = args.steps if args.steps is not None else cfg.sim.steps
-    seed_used = args.seed if args.seed is not None else cfg.sim.seed
-    meta = {"config": config_digest(cfg.to_dict()), "seed": seed_used, "strategy": strategy.label()}
-    trace = run_closed_loop(problem, xbar0, strategy, steps, meta=meta)
+    trace = run_closed_loop(problem, xbar0, strategy, steps)
     if trace.meta.get("aborted"):
         raise SolverFailure(
             "closed loop aborted after repeated solver failures:"

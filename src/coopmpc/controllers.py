@@ -110,12 +110,12 @@ class SolveInfo:
 
     millis follows the parallel accounting convention: the maximum over
     agents of that agent's total solve time (a centralized solve is its
-    own single agent).  iterations is the summed QP iteration count.
+    own single agent).  iterations is the summed QP iteration count.  The
+    harness names a step by its `StrategyConfig.label()`.
     """
 
     millis: float
     iterations: int
-    label: str = ""
 
 
 def _solved(qp, options, context):
@@ -183,9 +183,8 @@ def _settle(problem, xbar0, joint):
     t0 = time.perf_counter()
     stage, exact = _law_step(problem, problem.centralized_law() if joint else problem.noiter_law(), xbar0)
     shared = 1e3 * (time.perf_counter() - t0)
-    label = "centralized" if joint else "noiter"
     if exact.all():
-        return InputSequenceSet(stage, problem.m), SolveInfo(millis=shared, iterations=1 if joint else problem.M, label=label)
+        return InputSequenceSet(stage, problem.m), SolveInfo(millis=shared, iterations=1 if joint else problem.M)
     agents = tuple(range(problem.M))
     slices, columns, exact = problem.group_slices(), _agent_columns(problem.m), exact.tolist()
     millis, iterations, failures = [shared], 0, []
@@ -204,7 +203,7 @@ def _settle(problem, xbar0, joint):
         iterations += its
     if failures:
         raise min(failures, key=_decisiveness)
-    return InputSequenceSet(stage, problem.m), SolveInfo(millis=max(millis), iterations=iterations, label=label)
+    return InputSequenceSet(stage, problem.m), SolveInfo(millis=max(millis), iterations=iterations)
 
 
 def solve_centralized(problem, xbar0):
@@ -220,7 +219,7 @@ def solve_local_noiter(problem, i, x_i0):
     on agent i's state and data, never on the other agents.
     """
     stage, iterations, millis = _solve_part(problem, (i,), x_i0, "local solve of agent %d" % i)
-    return stage.T, SolveInfo(millis=millis, iterations=iterations, label="noiter")
+    return stage.T, SolveInfo(millis=millis, iterations=iterations)
 
 
 def solve_noiter_all(problem, xbar0):
@@ -301,7 +300,7 @@ def solve_cooperative(problem, xbar0, cfg, previous=None, keep_history=False):
         )
         if keep_history:
             history.append(iterate)
-    info = SolveInfo(millis=float(np.max(per_agent)), iterations=iters, label=cfg.label())
+    info = SolveInfo(millis=float(np.max(per_agent)), iterations=iters)
     if keep_history:
         return iterate, info, history
     return iterate, info

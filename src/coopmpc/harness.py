@@ -9,8 +9,6 @@ simulated: GC is the centralized condensed objective, CC the cached blocks
 of `Problem.coupled_cost_blocks`.
 """
 
-import hashlib
-import json
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
@@ -70,8 +68,6 @@ class StepRecord:
     iterations: int
     millis: float
     strategy: str
-    gc_ref: float = None
-    cc_ref: float = None
 
 
 @dataclass(eq=False)
@@ -86,15 +82,14 @@ class ClosedLoopTrace:
         return np.array([float(np.linalg.norm(rec.xbar)) for rec in self.steps])
 
 
-def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
+def run_closed_loop(problem, xbar0, strategy, steps):
     """Simulate the receding-horizon loop for `steps` sampling instants.
 
     `strategy` is a StrategyConfig or a schedule [(start_step, cfg), ...]
     switching strategies mid-run.  The cooperative strategy starts from the
     shifted-sequence plan: the applied sequence, shifted one stage with the
-    terminal controller move appended.  With `reference`, the reference
-    strategy is also solved at every visited state and its costs logged
-    alongside.
+    terminal controller move appended.  meta["strategy"] names the
+    strategies of the schedule in order.
 
     Solver failures are logged in meta["failures"], each with its step t,
     error message, status and least terminal-ball margin (None when the
@@ -114,10 +109,8 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
         )
     schedule = sorted(schedule, key=lambda sc: sc[0])
     xbar = np.asarray(xbar0, dtype=float).reshape(-1).copy()
-    trace = ClosedLoopTrace(steps=[], meta=dict(meta or {}))
-    trace.meta.setdefault("strategy", " / ".join(cfg.label() for _, cfg in schedule))
+    trace = ClosedLoopTrace(steps=[], meta={"strategy": " / ".join(cfg.label() for _, cfg in schedule)})
     previous = None
-    ref_previous = None
     failures = 0
     failure_log = []
     for t in range(steps):
@@ -148,10 +141,6 @@ def run_closed_loop(problem, xbar0, strategy, steps, reference=None, meta=None):
             millis=info.millis,
             strategy=cfg.label(),
         )
-        if reference is not None:
-            ref_seqs, _ = solve_strategy(problem, xbar, reference, previous=ref_previous)
-            rec.gc_ref, rec.cc_ref = evaluate_cost(problem, xbar, ref_seqs)
-            ref_previous = shift_sequences(problem, xbar, ref_seqs)
         previous = shift_sequences(problem, xbar, seqs)
         xbar = problem.step(xbar, rec.u0)
         trace.steps.append(rec)
@@ -353,9 +342,3 @@ def monte_carlo(problem, draws, bounds, strategy, seed):
         per_draw_losses=losses,
         excluded_draws=excluded_draws,
     )
-
-
-def config_digest(config_dict):
-    """Stable hash of a configuration for trace metadata."""
-    text = json.dumps(config_dict, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -44,6 +44,8 @@ class Problem:
         bounds = [np.asarray(b, dtype=float).reshape(-1) for b in self.u_max]
         if any(b.shape[0] not in (1, mi) for b, mi in zip(bounds, self.m)):
             raise DimensionMismatch("an agent's input bound needs 1 or m_i entries")
+        if not all((b >= 0.0).all() for b in bounds):
+            raise DimensionMismatch("input bounds must be >= 0, with no NaN")
         self.u_max = tuple(np.broadcast_to(b, (mi,)).copy() for b, mi in zip(bounds, self.m))
 
     @property

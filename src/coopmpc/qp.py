@@ -305,16 +305,14 @@ class SolverOptions:
 class QpSolution:
     """Result of a solve.
 
-    A SOLVED point lies in the box and in every ball with no slack;
-    dual_res is the largest Lagrangian gradient over the inputs strictly
-    inside the box.  It is inf on an INFEASIBLE or MAX_ITERS result, whose
-    u_stack is the unconstrained minimizer clipped onto the box.  The
-    objective of any u_stack is `CondensedQp.objective(u_stack)`.
+    A SOLVED point lies in the box and in every ball with no slack; an
+    INFEASIBLE or MAX_ITERS result carries the unconstrained minimizer
+    clipped onto the box.  The objective of any u_stack is
+    `CondensedQp.objective(u_stack)`.
     """
 
     u_stack: np.ndarray
     iterations: int
-    dual_res: float
     status: str
     # Least ball margin of `ball_margins`, set by every failed solve that
     # reached the certificate.  None on a SOLVED result, which never runs
@@ -562,9 +560,9 @@ def _multiplier_search(qp, budget, tol, u_free=None):
             Hl = H
             u, free, K = _box_qp(H, g, lo, hi, ops.H_chol, u_free)
         s = T @ u + t
-        for (_, radius, part), ball in zip(ops.balls, qp.terminal):
+        for (_, _, part), ball in zip(ops.balls, qp.terminal):
             sb = s[part]
-            if sb @ sb > radius**2 and _margin_bound(ball, sb, lo, hi) < -BALL_FEAS_TOL:
+            if sb @ sb > ball.radius**2 and _margin_bound(ball, sb, lo, hi) < -BALL_FEAS_TOL:
                 return None
         if free.any() and K is None:
             K, info = dpotrf(Hl[np.ix_(free, free)], lower=1)
@@ -655,7 +653,7 @@ def solve_qp(qp, options=None):
 
     1. The unconstrained minimizer u = -H^-1 g from the cached factor.  If
        it satisfies the box and every ball exactly, it is returned as
-       SOLVED with zero dual residual and zero multipliers.
+       SOLVED with zero multipliers.
     2. The multiplier search, from that minimizer, one iteration per box
        QP, with a budget of `options.max_iters` - 2.  It returns SOLVED at
        a point that lies in the box and in every ball exactly, with each
@@ -686,13 +684,7 @@ def solve_qp(qp, options=None):
         and np.all(u <= box_hi)
         and all(sqrt(s @ s) <= ball.radius for s, ball in zip(reach, qp.terminal))
     ):
-        return QpSolution(
-            u,
-            iterations=1,
-            dual_res=0.0,
-            status=SOLVED,
-            lam=qp.ops.ball_zero,
-        )
+        return QpSolution(u, iterations=1, status=SOLVED, lam=qp.ops.ball_zero)
 
     iterations, margin, status = 1, None, MAX_ITERS
     if opts.max_iters > 1:
@@ -700,27 +692,10 @@ def solve_qp(qp, options=None):
         found, lam, calls = _multiplier_search(qp, opts.max_iters - 2, opts.eps_abs, u)
         iterations += calls
         if found is not None:
-            grad = qp.H @ found + qp.g
-            for lb, ball in zip(lam, qp.terminal):
-                grad += 2.0 * lb * (ball.Tmap.T @ (ball.Tmap @ found + ball.tvec))
-            inner = (box_lo < found) & (found < box_hi)
-            return QpSolution(
-                found,
-                iterations=iterations,
-                dual_res=float(np.abs(grad[inner]).max(initial=0.0)),
-                status=SOLVED,
-                lam=lam,
-            )
+            return QpSolution(found, iterations=iterations, status=SOLVED, lam=lam)
         iterations += 1
         margins = ball_margins(qp)
         margin = min((m for m, _ in margins), default=None)
         if margins and min(bound for _, bound in margins) < -BALL_FEAS_TOL:
             status = INFEASIBLE
-    u = np.clip(u, box_lo, box_hi)
-    return QpSolution(
-        u,
-        iterations=iterations,
-        dual_res=np.inf,
-        status=status,
-        margin=margin,
-    )
+    return QpSolution(np.clip(u, box_lo, box_hi), iterations=iterations, status=status, margin=margin)

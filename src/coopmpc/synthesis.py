@@ -6,7 +6,6 @@ condition that the block-diagonal terminal weights must satisfy, and scales
 candidate weights until the certificate holds.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -317,29 +316,18 @@ class TerminalIngredients:
         return bool(self.prop1.holds)
 
 
-def candidate_alphas(alpha_max=ALPHA_MAX):
-    """The scaling sweep 1, 1.5, 2, 3, 5, 10, 15, ... up to alpha_max.
-
-    alpha_max must be finite and at least 1; anything else raises
-    SelectionFailed.
-    """
-    limit = float(alpha_max)
-    if not (math.isfinite(limit) and limit >= 1.0):
-        raise SelectionFailed("alpha_max must be a finite number >= 1, got %r" % (alpha_max,))
+def candidate_alphas():
+    """The scaling sweep 1, 1.5, 2, 3, 5, 10, 15, ... up to ALPHA_MAX, its
+    last value."""
     out = []
     scale = 1.0
-    while scale <= limit:
-        for m in ALPHA_MANTISSAS:
-            a = m * scale
-            if a <= limit:
-                out.append(a)
+    while scale <= ALPHA_MAX:
+        out.extend(a for a in (m * scale for m in ALPHA_MANTISSAS) if a <= ALPHA_MAX)
         scale *= 10.0
-    if out[-1] < limit:
-        out.append(limit)
     return out
 
 
-def select_terminal_weights(cost, tplant, Phat, AK_global, alpha_max=ALPHA_MAX):
+def select_terminal_weights(cost, tplant, Phat, AK_global):
     """Pick block terminal weights that satisfy the decrease certificate.
 
     The centralized weight Phat is mapped back to the original ordering,
@@ -357,7 +345,7 @@ def select_terminal_weights(cost, tplant, Phat, AK_global, alpha_max=ALPHA_MAX):
     the certificate is this linear form's, and `synthesize` recomputes
     check_prop1 on the selected weights.
     """
-    alphas = candidate_alphas(alpha_max)
+    alphas = candidate_alphas()
     pmap = tplant.map
     base = []
     for i, rho in enumerate(cost.rho):
@@ -372,7 +360,7 @@ def select_terminal_weights(cost, tplant, Phat, AK_global, alpha_max=ALPHA_MAX):
         if margin >= -CERT_TOL * (1.0 + spectral_norm(alpha * Pbar1 - Phat)):
             P_list = tuple(alpha * Pi for Pi in base)
             return P_list, alpha, CertCheck(holds=True, margin=margin)
-    raise SelectionFailed("no scaling up to %.1e satisfied the decrease certificate" % alpha_max)
+    raise SelectionFailed("no scaling up to %.1e satisfied the decrease certificate" % ALPHA_MAX)
 
 
 def synthesize(tplant, cost, lqr_Q, lqr_R, radii, u_max, gains=None):

@@ -201,7 +201,7 @@ class TestExactPath:
         assert sol.status == SOLVED
         assert sol.iterations == 1
         assert np.max(np.abs(sol.u_stack - np.linalg.solve(qp.H, -qp.g))) <= 1e-12
-        assert sol.dual_res == 0.0
+        assert not sol.lam.any()
 
     def test_factor_is_cached_and_read_only(self, rng_factory):
         qp, _ = random_condensed(rng_factory(66))
@@ -662,6 +662,20 @@ class TestMultipliers:
                 assert abs((objective[0] - objective[1]) / (2.0 * h) - want) <= 1e-3 * abs(want)
                 active += 1
         assert active >= 130
+
+
+class TestReplacedRadius:
+    @pytest.mark.parametrize("scale", [0.5, 0.8])
+    def test_replaced_radius_solves_as_built(self, flagship, scale):
+        # a QP whose radii are replaced after condensing solves exactly as
+        # the same QP condensed with those radii, verdict and point alike
+        radii = tuple(scale * r for r in flagship.ingredients.ball_radius)
+        built = replace(flagship, ingredients=replace(flagship.ingredients, ball_radius=radii))
+        for qp, fresh in zip(seed20_draw_qps(flagship), seed20_draw_qps(built)):
+            moved = replace(qp, terminal=[replace(b, radius=f.radius) for b, f in zip(qp.terminal, fresh.terminal)])
+            got, want = solve_qp(moved), solve_qp(fresh)
+            assert (got.status, got.iterations, got.margin) == (want.status, want.iterations, want.margin)
+            assert got.u_stack.tobytes() == want.u_stack.tobytes()
 
 
 class TestSearchBeforeCertificate:

@@ -29,7 +29,7 @@ from coopmpc import (
     verify_ball_terminal,
 )
 from coopmpc import synthesis
-from coopmpc.synthesis import candidate_alphas
+from coopmpc.synthesis import ALPHA_MAX, candidate_alphas
 
 from oracles import (
     dense_regroup,
@@ -308,18 +308,9 @@ class TestSelection:
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
     def test_sweep_grid_ends_at_its_limit(self):
-        assert candidate_alphas(1.0) == [1.0]
-        assert candidate_alphas(4.0) == [1.0, 1.5, 2.0, 3.0, 4.0]
-
-    @pytest.mark.parametrize("alpha_max", [0.5, float("nan"), float("inf")])
-    def test_invalid_sweep_limit_rejected(self, flagship, alpha_max):
-        with pytest.raises(SelectionFailed, match="alpha_max must be a finite number >= 1, got %r" % alpha_max):
-            candidate_alphas(alpha_max)
-        ing = flagship.ingredients
-        with pytest.raises(SelectionFailed, match="got %r" % alpha_max):
-            select_terminal_weights(
-                flagship.cost, flagship.tplant, ing.Phat, block_diag(*ing.AK), alpha_max=alpha_max
-            )
+        grid = candidate_alphas()
+        assert grid[-1] == ALPHA_MAX and all(a <= ALPHA_MAX for a in grid)
+        assert grid[-5:] == [m * ALPHA_MAX / 10.0 for m in (1.5, 2.0, 3.0, 5.0)] + [ALPHA_MAX]
 
     def test_decoupled_instance_needs_no_scaling(self, rng_factory):
         # with no cross-subsystem state blocks the regrouping is the
